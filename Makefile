@@ -59,10 +59,11 @@ loadcheck:
 # proportional to the lost coverage and >= 0.70× healthy, fail-fast
 # 503+Retry-After mutations to the dead shard, and breaker re-close
 # within one open interval + probe tick of the shard returning. The
-# measured run lands in BENCH_load.json under "shard_chaos". count=1 so
-# the chaos replays every time.
+# measured run lands in BENCH_load.json under "shard_chaos" — only here:
+# without -record the tests write nothing. count=1 so the chaos replays
+# every time.
 shardcheck:
-	$(GO) test -race -count=1 -run 'ShardChaos' ./cmd/knnload
+	$(GO) test -race -count=1 -run 'ShardChaos' ./cmd/knnload -args -record=$(CURDIR)/BENCH_load.json
 	$(GO) test -race -count=1 -run 'RunSharded' ./cmd/knnserver
 
 # The multi-process cluster suite under the race detector: three
@@ -75,10 +76,11 @@ shardcheck:
 # counts) and a second scenario SIGKILLs the gaining shard mid-import
 # and proves the transfer resumes with no user lost or duplicated.
 # Measured runs land in BENCH_load.json under "cluster_chaos" and
-# "migration". The second line re-runs the single-process migration,
-# ring, membership, and delta tests that back the cluster machinery.
+# "migration" (-record; the short variant below records nothing). The
+# second line re-runs the single-process migration, ring, membership, and
+# delta tests that back the cluster machinery.
 clustercheck:
-	$(GO) test -race -count=1 -run 'TestClusterProcessKillChaos|TestClusterMigrationCrashResume' ./cmd/knnload
+	$(GO) test -race -count=1 -run 'TestClusterProcessKillChaos|TestClusterMigrationCrashResume' ./cmd/knnload -args -record=$(CURDIR)/BENCH_load.json
 	$(GO) test -race -count=1 -run 'Cluster|Migration|Ring|Membership|Delta|Drift|Prober' ./internal/router ./internal/gossip ./internal/durable ./internal/service ./cmd/knnserver
 
 # Short-mode clustercheck: the same process-kill and crash-resume
@@ -89,10 +91,19 @@ clustershort:
 
 # The online-mutation suite: the churn harness (>=10k interleaved
 # insert/overwrite/delete mutations must hold quality and recall within
-# epsilon of a from-scratch build) and the online-insert latency floor
-# (p99 insert at n=10k). count=1 so the churn replays every time.
+# epsilon of a from-scratch build), the online-insert latency floor (p99
+# insert at n=10k), and the publication cost model — a mutation plus the
+# read after it allocates < 1.5x the bytes at n=40k that it does at n=5k,
+# for the maintainer alone and through the service (both skip themselves
+# under -race, so they run here without it). The differential history
+# tests (paged corpus == fresh pack, kernels bit-identical) and the
+# held-snapshot / held-view immutability tests run under the race detector
+# here and in racecheck's ./... sweep. count=1 so the churn replays every
+# time.
 onlinecheck:
-	$(GO) test -count=1 -run 'OnlineChurn|OnlineInsertLatency' ./internal/knn
+	$(GO) test -count=1 -run 'OnlineChurn|OnlineInsertLatency|OnlineMutationAllocScaling' ./internal/knn
+	$(GO) test -count=1 -run 'OnlineMutationAllocScaling' ./internal/service
+	$(GO) test -race -count=1 -run 'RandomHistory|SupersededView|PackedHistory|OnlineSnapshotImmutable' ./internal/cow ./internal/core ./internal/knn
 	$(GO) test -race -count=1 -run 'Online|LiveMutation|Delete' ./internal/service
 
 cover:

@@ -25,8 +25,9 @@ package main
 //     transfer, the router's migration driver re-drives the pull, and
 //     the final per-shard counts prove no loss and no duplication.
 //
-// The measured run lands in BENCH_load.json under "cluster_chaos" and
-// "migration".
+// `make clustercheck` records the measured run in BENCH_load.json under
+// "cluster_chaos" and "migration" (-record); a plain `go test` records
+// nothing.
 
 import (
 	"bufio"
@@ -612,7 +613,7 @@ func TestClusterProcessKillChaos(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	mergeBenchSections(t, "../../BENCH_load.json", map[string]any{
+	mergeBenchSections(t, map[string]any{
 		"cluster_chaos": clusterChaosJSON{
 			Shards: len(names), SeedUsers: nUsers, Bits: bits, K: k,
 			KilledShard: victim.name,

@@ -20,10 +20,12 @@ package main
 //     prober and full 4/4 coverage resumes within one open interval
 //     plus a probe tick.
 //
-// The measured numbers land in BENCH_load.json under "shard_chaos".
+// `make shardcheck` records the measured numbers in BENCH_load.json under
+// "shard_chaos" (-record); a plain `go test` records nothing.
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -634,20 +636,24 @@ func TestShardChaosKillOneOfFour(t *testing.T) {
 	}
 	stallJSON := phaseJSON(stall)
 	section.StallPhase = &stallJSON
-	writeChaosSection(t, "../../BENCH_load.json", section)
+	mergeBenchSections(t, map[string]any{"shard_chaos": section})
 }
 
-// writeChaosSection merges the shard_chaos section into BENCH_load.json
-// without disturbing the flat load-test report knnload writes there.
-func writeChaosSection(t *testing.T, path string, section shardChaosJSON) {
-	t.Helper()
-	mergeBenchSections(t, path, map[string]any{"shard_chaos": section})
-}
+// recordTo names the JSON document the chaos runs merge their measured
+// sections into. Empty — what a plain `go test` runs with — records
+// nothing, so tests leave tracked files alone; `make shardcheck` and
+// `make clustercheck` pass BENCH_load.json.
+var recordTo = flag.String("record", "", "merge the measured chaos sections into this JSON file")
 
-// mergeBenchSections merges named sections into the JSON document at
-// path, preserving every key it does not own.
-func mergeBenchSections(t *testing.T, path string, sections map[string]any) {
+// mergeBenchSections merges named sections into the -record document,
+// preserving every key it does not own (the flat load-test report knnload
+// writes there, the other harness's sections).
+func mergeBenchSections(t *testing.T, sections map[string]any) {
 	t.Helper()
+	path := *recordTo
+	if path == "" {
+		return
+	}
 	doc := make(map[string]any)
 	if blob, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(blob, &doc); err != nil {

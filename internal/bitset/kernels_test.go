@@ -114,6 +114,21 @@ func TestAndCountGatherMatchesPerRow(t *testing.T) {
 				t.Fatalf("geometry %+v id %d: got %d, want %d", tc, id, out[i], want)
 			}
 		}
+		// The paged kernel over the same rows cut into 4-row pages (the
+		// last one partial) must agree with the flat one.
+		const shift = 2
+		var pages [][]uint64
+		for lo := 0; lo < tc.rows; lo += 1 << shift {
+			hi := min(lo+1<<shift, tc.rows)
+			pages = append(pages, corpus[lo*tc.stride:hi*tc.stride])
+		}
+		paged := make([]int32, len(ids))
+		AndCountGatherPaged(query, pages, shift, tc.stride, ids, paged)
+		for i := range ids {
+			if paged[i] != out[i] {
+				t.Fatalf("geometry %+v id %d: paged %d, flat %d", tc, ids[i], paged[i], out[i])
+			}
+		}
 	}
 }
 

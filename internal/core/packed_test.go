@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"goldfinger/internal/profile"
@@ -255,4 +256,115 @@ func FuzzPackedJaccard(f *testing.F) {
 			t.Fatalf("query-into %v, core %v", out[1], want)
 		}
 	})
+}
+
+// TestPackedHistoryMatchesRepack is the differential property of the
+// persistent corpus: after a seeded random history of Append and WithRow —
+// long enough to cross page boundaries and to rewrite rows of full, partial
+// and freshly appended pages — the corpus equals NewPackedCorpus of the
+// current fingerprints row for row, its range, gather and early-abandon
+// kernels are bit-identical to per-pair core.Jaccard on the unpacked
+// fingerprints, every corpus kept along the way still holds the rows it was
+// published with, and ChangedRows names exactly the rows that differ.
+func TestPackedHistoryMatchesRepack(t *testing.T) {
+	for _, bits := range []int{100, 1024} {
+		rng := rand.New(rand.NewSource(int64(bits) + 13))
+		s := MustScheme(bits, 17)
+		next := func() Fingerprint { return s.Fingerprint(randomProfile(rng, rng.Intn(90), 2000)) }
+
+		var fps []Fingerprint
+		for i := 0; i < 3*pageRows-5; i++ { // the history starts five rows short of a page boundary
+			fps = append(fps, next())
+		}
+		c, err := NewPackedCorpus(bits, fps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type kept struct {
+			c   *PackedCorpus
+			fps []Fingerprint
+		}
+		history := []kept{{c, append([]Fingerprint(nil), fps...)}}
+		for step := 0; step < 600; step++ {
+			fp := next()
+			if rng.Intn(3) == 0 {
+				fps = append(fps, fp)
+				c, err = c.Append(fp)
+			} else {
+				i := rng.Intn(len(fps))
+				fps[i] = fp
+				c, err = c.WithRow(i, fp)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step%40 == 0 {
+				history = append(history, kept{c, append([]Fingerprint(nil), fps...)})
+			}
+		}
+		history = append(history, kept{c, fps})
+
+		for h, k := range history {
+			fresh, err := NewPackedCorpus(bits, k.fps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := k.c.NumUsers()
+			if n != len(k.fps) || n != fresh.NumUsers() {
+				t.Fatalf("bits=%d corpus %d: %d rows, want %d", bits, h, n, len(k.fps))
+			}
+			for i := 0; i < n; i++ {
+				if !slices.Equal(k.c.Row(i), fresh.Row(i)) || k.c.Cardinality(i) != fresh.Cardinality(i) {
+					t.Fatalf("bits=%d corpus %d: row %d differs from a fresh pack", bits, h, i)
+				}
+			}
+			if h > 0 {
+				prev := history[h-1]
+				var want []int32
+				for i := range prev.fps {
+					if !prev.fps[i].Bits().Equal(k.fps[i].Bits()) {
+						want = append(want, int32(i))
+					}
+				}
+				if got := k.c.ChangedRows(prev.c); !slices.Equal(got, want) {
+					t.Fatalf("bits=%d corpus %d: ChangedRows %v, want %v", bits, h, got, want)
+				}
+			}
+		}
+
+		n := c.NumUsers()
+		out := make([]float64, n)
+		ids := make([]int32, 2*packTile+9)
+		for trial := 0; trial < 8; trial++ {
+			q := next()
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo)
+			c.JaccardQueryInto(q, lo, hi, out)
+			for v := lo; v < hi; v++ {
+				if want := Jaccard(q, fps[v]); out[v-lo] != want {
+					t.Fatalf("bits=%d v=%d: query-into %v, core %v", bits, v, out[v-lo], want)
+				}
+			}
+			scorer := c.NewQueryScorer(q)
+			for v := 0; v < n; v++ {
+				want := Jaccard(q, fps[v])
+				floor := rng.Float64() * 0.2
+				if got, ok := scorer.ScoreAbove(int32(v), floor); ok && got != want {
+					t.Fatalf("bits=%d v=%d: ScoreAbove %v, core %v", bits, v, got, want)
+				} else if !ok && want >= floor {
+					t.Fatalf("bits=%d v=%d: ScoreAbove abandoned a row at %v ≥ floor %v", bits, v, want, floor)
+				}
+			}
+			u := rng.Intn(n)
+			for i := range ids {
+				ids[i] = int32(rng.Intn(n))
+			}
+			c.JaccardGatherInto(u, ids, out[:len(ids)])
+			for i, id := range ids {
+				if want := Jaccard(fps[u], fps[id]); out[i] != want {
+					t.Fatalf("bits=%d u=%d id=%d: gather %v, core %v", bits, u, id, out[i], want)
+				}
+			}
+		}
+	}
 }

@@ -461,7 +461,7 @@ func TestConcurrentAppendsAndCompaction(t *testing.T) {
 		writeMu sync.Mutex
 		mirror  State
 	)
-	// capture mimics the service's packedSnapshot-style copy: the current
+	// capture mimics the service's captureState: a copy of the current
 	// mirror under the lock that writers update it under.
 	capture := func() (State, *EpochData) {
 		writeMu.Lock()
@@ -619,7 +619,7 @@ func TestCrashDuringDeltaAppendRecoversWarmGraph(t *testing.T) {
 			deltaChurnStep(t, o, fps, j)
 		}
 		s := o.Snapshot()
-		return s.Graph, s.Dead
+		return s.Graph(), s.DeadFlags()
 	}
 
 	// run plays the scenario against fsys until a fault stops it.

@@ -313,7 +313,7 @@ func TestHarnessOnlineChurnTracksBatchBuild(t *testing.T) {
 		s := o.Snapshot()
 		for {
 			id := int32(rng.Intn(len(cur)))
-			if !s.Dead[id] {
+			if !s.Dead(id) {
 				return id
 			}
 		}
@@ -358,7 +358,7 @@ func TestHarnessOnlineChurnTracksBatchBuild(t *testing.T) {
 	if s.Seq != mutations {
 		t.Fatalf("snapshot seq = %d after %d mutations", s.Seq, mutations)
 	}
-	if err := s.Graph.Validate(); err != nil {
+	if err := s.Graph().Validate(); err != nil {
 		t.Fatal(err)
 	}
 

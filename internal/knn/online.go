@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"goldfinger/internal/core"
+	"goldfinger/internal/cow"
 )
 
 // This file implements online KNN graph maintenance: mutations (insert,
@@ -22,25 +23,38 @@ import (
 // builders already exploit). A delete tombstones the node and lazily
 // repairs only the neighborhoods that pointed at it; an overwrite is a
 // detach + reconnect at the same index. Readers see immutable snapshots,
-// materialized lazily: a mutation only bumps a generation counter, and the
-// first Snapshot call after a mutation batch pays the one O(n) top-level
-// copy that every subsequent reader then shares — so mutation cost stays
-// proportional to the touched neighborhood, and back-to-back mutations
-// coalesce into a single copy instead of one each.
+// published eagerly: the adjacency lists and tombstones live in paged
+// copy-on-write vectors (internal/cow), a mutation copies only the pages
+// holding the lists it rewrites, and its last step publishes the three
+// page tables as the next snapshot — so both the mutation and the
+// publication cost stay proportional to the touched neighborhood, and
+// Snapshot is one atomic load.
 
-// OnlineSnapshot is one immutable published state of an Online maintainer.
-// All fields are safe for concurrent use and never mutated after publish.
+// node is one graph node's adjacency, stored by value in the node pages so
+// a reader reaches a list through the same two loads a flat neighbor table
+// costs. The lists themselves are immutable once stored.
+type node struct {
+	adj []Neighbor // KNN list, sorted by (sim desc, id asc), len ≤ k
+	nav []Neighbor // navigable list, sorted best-first, len ≤ maxDeg(+slack)
+}
+
+// Page sizes. A mutation rewrites about a hundred nodes scattered over the
+// graph, so it copies about one node page per rewritten node plus the
+// table: 32 nodes (1.5 KB) a page balance the two near 200 KB at n = 100k,
+// where corpus-sized pages would copy many times as much. Tombstone flags
+// are a byte each, change one at a time and are read once per scored node:
+// 1024 a page keep their table a few cache lines.
+const (
+	nodeShift = 5
+	deadShift = 10
+)
+
+// OnlineSnapshot is one immutable published state of an Online maintainer,
+// safe for concurrent use.
 type OnlineSnapshot struct {
-	// Graph is the current directed KNN graph over all nodes ever
-	// inserted; tombstoned nodes have empty neighbor lists, and live lists
-	// may still carry edges to tombstoned nodes (stale in-edges are purged
-	// lazily) — readers filter with Dead.
-	Graph *Graph
-	// Nav is the incrementally-maintained navigable adjacency (mirrored,
-	// diversity-pruned, degree-capped) GraphSearch descends.
-	Nav *Graph
-	// Dead marks tombstoned node indices.
-	Dead []bool
+	k     int
+	nodes cow.View[node]
+	dead  cow.View[bool]
 	// Seq is the mutation sequence number this snapshot reflects.
 	Seq uint64
 	// Live is the number of non-tombstoned nodes.
@@ -48,7 +62,45 @@ type OnlineSnapshot struct {
 }
 
 // NumNodes returns the total node count, tombstones included.
-func (s *OnlineSnapshot) NumNodes() int { return len(s.Graph.Neighbors) }
+func (s *OnlineSnapshot) NumNodes() int { return s.nodes.Len() }
+
+// Neighbors returns node v's current KNN list. Tombstoned nodes have empty
+// lists, and live lists may still carry edges to tombstoned nodes (stale
+// in-edges are purged lazily) — readers filter with Dead. Read-only.
+func (s *OnlineSnapshot) Neighbors(v int32) []Neighbor { return s.nodes.At(int(v)).adj }
+
+// Dead reports whether node v is tombstoned.
+func (s *OnlineSnapshot) Dead(v int32) bool { return s.dead.At(int(v)) }
+
+// Search is GraphSearch over the snapshot's incrementally-maintained
+// navigable adjacency (mirrored, diversity-pruned, degree-capped).
+func (s *OnlineSnapshot) Search(oracle SearchOracle, k int, opts SearchOptions) ([]Neighbor, SearchStats, error) {
+	return graphSearch(pagedAdjacency{&s.nodes}, oracle, k, opts)
+}
+
+// Graph copies the snapshot's directed KNN graph into a flat Graph — O(n)
+// list headers, for persistence and offline evaluation, not for serving.
+func (s *OnlineSnapshot) Graph() *Graph {
+	return s.flatten(func(n node) []Neighbor { return n.adj })
+}
+
+// Nav is Graph for the navigable adjacency.
+func (s *OnlineSnapshot) Nav() *Graph {
+	return s.flatten(func(n node) []Neighbor { return n.nav })
+}
+
+func (s *OnlineSnapshot) flatten(list func(node) []Neighbor) *Graph {
+	g := &Graph{K: s.k, Neighbors: make([][]Neighbor, s.nodes.Len())}
+	for v := range g.Neighbors {
+		g.Neighbors[v] = list(s.nodes.At(v))
+	}
+	return g
+}
+
+// DeadFlags copies the tombstone flags into a flat slice.
+func (s *OnlineSnapshot) DeadFlags() []bool {
+	return s.dead.Flat()
+}
 
 // TouchedNode reports the full post-mutation KNN adjacency of one node a
 // mutation modified — the unit the durable graph-delta WAL records
@@ -72,26 +124,19 @@ type MutationResult struct {
 }
 
 // Online maintains a KNN graph under live mutations. All mutations
-// serialize on an internal lock; Snapshot is one atomic load when no
-// mutation intervened since the last call, and otherwise materializes a
-// fresh snapshot under the mutation lock. The maintainer is fully
-// deterministic: the same initial state and mutation sequence always
-// produce the same graph.
+// serialize on an internal lock and end by publishing the next snapshot;
+// Snapshot is one atomic load. The maintainer is fully deterministic: the
+// same initial state and mutation sequence always produce the same graph.
 type Online struct {
 	k      int
 	maxDeg int
 
-	mu   sync.Mutex
-	fps  []core.Fingerprint
-	adj  [][]Neighbor // KNN lists, sorted by (sim desc, id asc), len ≤ k
-	nav  [][]Neighbor // navigable lists, sorted best-first, len ≤ maxDeg(+slack)
-	dead []bool
-	live int
-
-	// seq is the mutation generation. Mutations bump it (under mu, after
-	// all state writes); Snapshot compares it against the cached
-	// snapshot's Seq to decide whether a rematerialization is due.
-	seq atomic.Uint64
+	mu    sync.Mutex
+	fps   []core.Fingerprint
+	nodes *cow.Vec[node]
+	dead  *cow.Vec[bool]
+	live  int
+	seq   uint64 // mutation sequence number of the state under mu
 
 	snap atomic.Pointer[OnlineSnapshot]
 }
@@ -109,8 +154,8 @@ func onlineMaxDegree(k int) int { return max(64, 4*k) }
 // (or nil to compute it here from the fingerprints); dead marks already-
 // tombstoned nodes (nil means none); fps must hold one fingerprint per
 // node; seq seeds the mutation sequence. The maintainer takes ownership of
-// the fps and dead slices and of the graphs' top-level arrays; the
-// per-node neighbor slices are shared and never mutated in place.
+// the fps slice; the per-node neighbor slices are shared and never mutated
+// in place.
 func NewOnline(g, nav *Graph, fps []core.Fingerprint, dead []bool, k int, seq uint64) (*Online, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("knn: online k must be positive, got %d", k)
@@ -138,51 +183,62 @@ func NewOnline(g, nav *Graph, fps []core.Fingerprint, dead []bool, k int, seq ui
 		k:      k,
 		maxDeg: onlineMaxDegree(k),
 		fps:    fps,
-		adj:    append([][]Neighbor(nil), g.Neighbors...),
-		nav:    append([][]Neighbor(nil), nav.Neighbors...),
-		dead:   dead,
+		nodes:  cow.New[node](nodeShift, 1),
+		dead:   cow.FromSlice(deadShift, dead),
+		seq:    seq,
 	}
-	o.seq.Store(seq)
+	o.nodes.Grow(n)
+	for v := 0; v < n; v++ {
+		o.nodes.Set(v, node{adj: g.Neighbors[v], nav: nav.Neighbors[v]})
+	}
 	for _, d := range dead {
 		if !d {
 			o.live++
 		}
 	}
-	o.Snapshot() // materialize eagerly so Snapshot never returns nil
+	o.publish()
 	return o, nil
 }
 
-// Snapshot returns the current state as an immutable snapshot. The fast
-// path — no mutation since the last call — is one atomic load. Otherwise
-// the snapshot is materialized under the mutation lock: one O(n) copy of
-// the top-level arrays, shared by every reader until the next mutation.
-// The per-node slices are immutable by discipline (every mutation
-// allocates fresh lists for the nodes it changes), so sharing them with
-// the maintainer is safe.
-func (o *Online) Snapshot() *OnlineSnapshot {
-	if s := o.snap.Load(); s != nil && s.Seq == o.seq.Load() {
-		return s
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if s := o.snap.Load(); s != nil && s.Seq == o.seq.Load() {
-		return s // someone else materialized while we waited
-	}
-	s := &OnlineSnapshot{
-		Graph: &Graph{K: o.k, Neighbors: append([][]Neighbor(nil), o.adj...)},
-		Nav:   &Graph{K: o.k, Neighbors: append([][]Neighbor(nil), o.nav...)},
-		Dead:  append([]bool(nil), o.dead...),
-		Seq:   o.seq.Load(),
+// Snapshot returns the state as of the last completed mutation. The
+// per-node slices are immutable by discipline (every mutation allocates
+// fresh lists for the nodes it changes) and the pages holding them are
+// copied before the maintainer writes to them again, so a snapshot never
+// changes under its reader.
+func (o *Online) Snapshot() *OnlineSnapshot { return o.snap.Load() }
+
+// publish makes the state under mu the current snapshot — the last step of
+// every mutation, after all state writes.
+func (o *Online) publish() {
+	o.snap.Store(&OnlineSnapshot{
+		k:     o.k,
+		nodes: o.nodes.Publish(),
+		dead:  o.dead.Publish(),
+		Seq:   o.seq,
 		Live:  o.live,
-	}
-	o.snap.Store(s)
-	return s
+	})
+}
+
+// commit numbers and publishes a finished mutation.
+func (o *Online) commit(res *MutationResult) {
+	o.seq++
+	res.Seq = o.seq
+	o.publish()
 }
 
 // sim estimates the similarity of two current nodes.
 func (o *Online) sim(u, v int32) float64 {
 	return core.Jaccard(o.fps[u], o.fps[v])
 }
+
+// adjOf, navOf and isDead read the state under mu; setAdj and setNav
+// store a new list for node v.
+func (o *Online) adjOf(v int32) []Neighbor { return o.nodes.At(int(v)).adj }
+func (o *Online) navOf(v int32) []Neighbor { return o.nodes.At(int(v)).nav }
+func (o *Online) isDead(v int32) bool      { return o.dead.At(int(v)) }
+
+func (o *Online) setAdj(v int32, adj []Neighbor) { o.nodes.Mut(int(v))[0].adj = adj }
+func (o *Online) setNav(v int32, nav []Neighbor) { o.nodes.Mut(int(v))[0].nav = nav }
 
 // Insert adds a new node with the given fingerprint and connects it: a
 // graph search over the navigable adjacency finds its neighbors, then
@@ -194,12 +250,11 @@ func (o *Online) Insert(fp core.Fingerprint) (int32, MutationResult) {
 	defer o.mu.Unlock()
 	u := int32(len(o.fps))
 	o.fps = append(o.fps, fp)
-	o.adj = append(o.adj, nil)
-	o.nav = append(o.nav, nil)
-	o.dead = append(o.dead, false)
+	o.nodes.Append(node{})
+	o.dead.Append(false)
 	o.live++
 	res := o.connect(u)
-	res.Seq = o.seq.Add(1) // after all state writes: readers at the old seq see the old snapshot
+	o.commit(&res)
 	return u, res
 }
 
@@ -215,15 +270,15 @@ func (o *Online) Overwrite(id int32, fp core.Fingerprint) (MutationResult, error
 	}
 	touched := newTouchSet()
 	var comparisons int
-	if o.dead[id] {
-		o.dead[id] = false
+	if o.isDead(id) {
+		o.dead.Set(int(id), false)
 		o.live++
 	} else {
 		// Tombstone for the duration of the detach so the repairs it
 		// triggers cannot re-adopt the node at its stale position.
-		o.dead[id] = true
+		o.dead.Set(int(id), true)
 		comparisons += o.detach(id, touched)
-		o.dead[id] = false
+		o.dead.Set(int(id), false)
 	}
 	o.fps[id] = fp
 	res := o.connect(id)
@@ -231,7 +286,7 @@ func (o *Online) Overwrite(id int32, fp core.Fingerprint) (MutationResult, error
 	// connect's touched set already leads with id; fold in the detach
 	// repairs it did not re-touch.
 	res.Touched = mergeTouched(res.Touched, touched.emit(o, -1))
-	res.Seq = o.seq.Add(1)
+	o.commit(&res)
 	return res, nil
 }
 
@@ -249,15 +304,15 @@ func (o *Online) Delete(id int32) (MutationResult, error) {
 	var res MutationResult
 	touched := newTouchSet()
 	touched.mark(id)
-	if !o.dead[id] {
+	if !o.isDead(id) {
 		// Tombstone first: the repairs detach triggers must not re-adopt
 		// the node they are being repaired around.
-		o.dead[id] = true
+		o.dead.Set(int(id), true)
 		o.live--
 		res.Comparisons += o.detach(id, touched)
 	}
 	res.Touched = touched.emit(o, id)
-	res.Seq = o.seq.Add(1)
+	o.commit(&res)
 	return res, nil
 }
 
@@ -270,30 +325,28 @@ func (o *Online) connect(u int32) MutationResult {
 
 	// u's KNN list: the best k candidates. cands is sorted best-first.
 	kn := min(o.k, len(cands))
-	o.adj[u] = append([]Neighbor(nil), cands[:kn]...)
-
 	// u's navigable list: a diverse selection of up to maxDeg candidates.
 	kept, c := o.diversePrune(cands, o.maxDeg)
 	comparisons += c
-	o.nav[u] = kept
+	o.nodes.Set(int(u), node{adj: append([]Neighbor(nil), cands[:kn]...), nav: kept})
 
 	// Reverse propagation through the discovered neighborhood: every kept
 	// neighbor learns about u — its KNN list if u qualifies, its navigable
 	// list for future searches.
 	for _, nb := range kept {
 		v := nb.ID
-		if next, changed := o.insertRanked(o.adj[v], Neighbor{ID: u, Sim: nb.Sim}, o.k); changed {
-			o.adj[v] = next
+		if next, changed := o.insertRanked(o.adjOf(v), Neighbor{ID: u, Sim: nb.Sim}, o.k); changed {
+			o.setAdj(v, next)
 			touched.mark(v)
 		}
-		nn := cloneWithout(o.nav[v], u)
+		nn := cloneWithout(o.navOf(v), u)
 		nn = append(nn, Neighbor{ID: u, Sim: nb.Sim})
 		if len(nn) > o.maxDeg+navSlack {
 			sort.Slice(nn, func(i, j int) bool { return ranksAbove(nn[i], nn[j]) })
 			nn, c = o.diversePrune(nn, o.maxDeg)
 			comparisons += c
 		}
-		o.nav[v] = nn
+		o.setNav(v, nn)
 	}
 	return MutationResult{Comparisons: comparisons, Touched: touched.emit(o, u)}
 }
@@ -306,7 +359,7 @@ func (o *Online) candidates(u int32) ([]Neighbor, int) {
 		var cands []Neighbor
 		comparisons := 0
 		for v := int32(0); int(v) < len(o.fps); v++ {
-			if v == u || o.dead[v] {
+			if v == u || o.isDead(v) {
 				continue
 			}
 			cands = append(cands, Neighbor{ID: v, Sim: o.sim(u, v)})
@@ -315,16 +368,15 @@ func (o *Online) candidates(u int32) ([]Neighbor, int) {
 		sort.Slice(cands, func(i, j int) bool { return ranksAbove(cands[i], cands[j]) })
 		return cands, comparisons
 	}
-	nav := &Graph{K: o.k, Neighbors: o.nav}
 	oracle := OracleFunc(func(v int32) float64 { return o.sim(u, v) })
 	// Overfetch past the degree cap so the diversity prune has rejected
 	// candidates to refill from instead of keeping the top-maxDeg verbatim.
 	// Beam of 4×maxDeg: wide enough that the prune has real choice, far
 	// cheaper than GraphSearch's query default of 16×k — an insert runs
 	// on the write path, where latency is the budget.
-	cands, stats, _ := GraphSearch(nav, oracle, o.maxDeg+o.maxDeg/2, SearchOptions{
+	cands, stats, _ := graphSearch(pagedAdjacency{&o.nodes.View}, oracle, o.maxDeg+o.maxDeg/2, SearchOptions{
 		Ef:      4 * o.maxDeg,
-		Exclude: func(v int32) bool { return v == u || o.dead[v] },
+		Exclude: func(v int32) bool { return v == u || o.isDead(v) },
 	})
 	return cands, stats.Scored
 }
@@ -332,26 +384,25 @@ func (o *Online) candidates(u int32) ([]Neighbor, int) {
 // detach removes node id's out-edges and repairs every neighborhood those
 // edges made aware of id. The caller updates tombstone state.
 func (o *Online) detach(id int32, touched *touchSet) int {
-	holders := neighborIDs(o.adj[id], o.nav[id], id)
-	o.adj[id] = nil
-	o.nav[id] = nil
+	holders := neighborIDs(o.adjOf(id), o.navOf(id), id)
+	o.nodes.Set(int(id), node{})
 	touched.mark(id)
 
 	comparisons := 0
 	var short []int32
 	for _, v := range holders {
-		if o.dead[v] {
+		if o.isDead(v) {
 			continue
 		}
-		if next, changed := removeRanked(o.adj[v], id); changed {
-			o.adj[v] = next
+		if next, changed := removeRanked(o.adjOf(v), id); changed {
+			o.setAdj(v, next)
 			touched.mark(v)
 			if len(next) < o.k {
 				short = append(short, v)
 			}
 		}
-		if next, changed := removeRanked(o.nav[v], id); changed {
-			o.nav[v] = next
+		if next, changed := removeRanked(o.navOf(v), id); changed {
+			o.setNav(v, next)
 		}
 	}
 	for _, v := range short {
@@ -367,22 +418,22 @@ func (o *Online) repair(v int32, touched *touchSet) int {
 	seen := map[int32]bool{v: true}
 	var ids []int32
 	add := func(w int32) {
-		if !seen[w] && !o.dead[w] {
+		if !seen[w] && !o.isDead(w) {
 			seen[w] = true
 			ids = append(ids, w)
 		}
 	}
-	for _, nb := range o.adj[v] {
+	for _, nb := range o.adjOf(v) {
 		add(nb.ID)
 	}
-	for _, nb := range o.nav[v] {
+	for _, nb := range o.navOf(v) {
 		add(nb.ID)
 	}
 	// Second hop expands through KNN lists only: the navigable lists are
 	// 4-6x wider, and repairing through them makes a delete storm
 	// quadratic in the degree cap for marginal quality.
 	for _, w := range append([]int32(nil), ids...) {
-		for _, nb := range o.adj[w] {
+		for _, nb := range o.adjOf(w) {
 			add(nb.ID)
 		}
 	}
@@ -394,12 +445,12 @@ func (o *Online) repair(v int32, touched *touchSet) int {
 	}
 	sort.Slice(cands, func(i, j int) bool { return ranksAbove(cands[i], cands[j]) })
 	kn := min(o.k, len(cands))
-	o.adj[v] = append([]Neighbor(nil), cands[:kn]...)
+	o.setAdj(v, append([]Neighbor(nil), cands[:kn]...))
 	touched.mark(v)
 
 	// Newly discovered edges serve navigation too.
-	nn := o.nav[v]
-	for _, nb := range o.adj[v] {
+	nn := o.navOf(v)
+	for _, nb := range o.adjOf(v) {
 		if !containsID(nn, nb.ID) {
 			nn = append(cloneWithout(nn, -1), nb)
 		}
@@ -408,7 +459,7 @@ func (o *Online) repair(v int32, touched *touchSet) int {
 		sort.Slice(nn, func(i, j int) bool { return ranksAbove(nn[i], nn[j]) })
 		nn, _ = o.diversePrune(nn, o.maxDeg)
 	}
-	o.nav[v] = nn
+	o.setNav(v, nn)
 	return len(cands)
 }
 
@@ -467,7 +518,7 @@ func (o *Online) insertRanked(nbrs []Neighbor, nb Neighbor, k int) ([]Neighbor, 
 		}
 	}
 	for _, e := range nbrs {
-		if e.ID == nb.ID || o.dead[e.ID] {
+		if e.ID == nb.ID || o.isDead(e.ID) {
 			changed = true // replaced or purged
 			continue
 		}
@@ -585,10 +636,10 @@ func (t *touchSet) emit(o *Online, first int32) []TouchedNode {
 	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
 	out := make([]TouchedNode, 0, len(rest)+1)
 	if first >= 0 && t.seen[first] {
-		out = append(out, TouchedNode{ID: first, Neighbors: o.adj[first]})
+		out = append(out, TouchedNode{ID: first, Neighbors: o.adjOf(first)})
 	}
 	for _, id := range rest {
-		out = append(out, TouchedNode{ID: id, Neighbors: o.adj[id]})
+		out = append(out, TouchedNode{ID: id, Neighbors: o.adjOf(id)})
 	}
 	return out
 }

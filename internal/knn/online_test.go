@@ -3,6 +3,9 @@ package knn
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -37,14 +40,15 @@ func newEmptyOnline(t *testing.T, k int) *Online {
 func liveSubgraph(s *OnlineSnapshot, fps []core.Fingerprint) (*Graph, []core.Fingerprint) {
 	remap := make(map[int32]int32, s.Live)
 	var liveFPs []core.Fingerprint
-	for id := range s.Graph.Neighbors {
-		if !s.Dead[id] {
+	full := s.Graph()
+	for id := range full.Neighbors {
+		if !s.Dead(int32(id)) {
 			remap[int32(id)] = int32(len(liveFPs))
 			liveFPs = append(liveFPs, fps[id])
 		}
 	}
-	g := &Graph{K: s.Graph.K, Neighbors: make([][]Neighbor, len(liveFPs))}
-	for id, nbrs := range s.Graph.Neighbors {
+	g := &Graph{K: full.K, Neighbors: make([][]Neighbor, len(liveFPs))}
+	for id, nbrs := range full.Neighbors {
 		u, ok := remap[int32(id)]
 		if !ok {
 			continue
@@ -72,15 +76,15 @@ func TestOnlineInsertOnlyBuildQuality(t *testing.T) {
 	if s.Live != len(fps) || s.Seq != uint64(len(fps)) {
 		t.Fatalf("snapshot live=%d seq=%d, want %d/%d", s.Live, s.Seq, len(fps), len(fps))
 	}
-	if err := s.Graph.Validate(); err != nil {
+	if err := s.Graph().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	p := &SHFProvider{Fingerprints: fps}
 	exact, _ := BruteForce(p, k, Options{})
-	if q := Quality(s.Graph, exact, p); q < 0.95 {
+	if q := Quality(s.Graph(), exact, p); q < 0.95 {
 		t.Errorf("insert-only quality = %.3f, want ≥ 0.95", q)
 	}
-	if r := Recall(s.Graph, exact); r < 0.80 {
+	if r := Recall(s.Graph(), exact); r < 0.80 {
 		t.Errorf("insert-only recall = %.3f, want ≥ 0.80", r)
 	}
 }
@@ -104,22 +108,22 @@ func TestOnlineDeleteHidesNode(t *testing.T) {
 		t.Fatalf("delete touched %v, want victim %d first", res.Touched, victim)
 	}
 	s := o.Snapshot()
-	if !s.Dead[victim] || s.Live != len(fps)-1 {
-		t.Fatalf("dead=%v live=%d after delete", s.Dead[victim], s.Live)
+	if !s.Dead(victim) || s.Live != len(fps)-1 {
+		t.Fatalf("dead=%v live=%d after delete", s.Dead(victim), s.Live)
 	}
-	if len(s.Graph.Neighbors[victim]) != 0 {
-		t.Errorf("victim kept %d out-edges", len(s.Graph.Neighbors[victim]))
+	if len(s.Neighbors(victim)) != 0 {
+		t.Errorf("victim kept %d out-edges", len(s.Neighbors(victim)))
 	}
 	for _, tn := range res.Touched[1:] {
-		if containsID(s.Graph.Neighbors[tn.ID], victim) {
+		if containsID(s.Neighbors(tn.ID), victim) {
 			t.Errorf("touched node %d still lists the victim", tn.ID)
 		}
 	}
 	// A search for the victim's own fingerprint must find its former
 	// neighbors, never the victim.
 	oracle := OracleFunc(func(v int32) float64 { return core.Jaccard(fps[victim], fps[v]) })
-	got, _, err := GraphSearch(s.Nav, oracle, k, SearchOptions{
-		Exclude: func(v int32) bool { return s.Dead[v] },
+	got, _, err := s.Search(oracle, k, SearchOptions{
+		Exclude: func(v int32) bool { return s.Dead(v) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,20 +166,20 @@ func TestOnlineOverwriteMovesNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := o.Snapshot()
-	if s.Dead[moved] {
+	if s.Dead(moved) {
 		t.Fatal("overwrite tombstoned the node")
 	}
 	// The rewired list must match a brute-force scan with the new
 	// fingerprint (tie-tolerant: compare similarity sequences).
 	var want []Neighbor
-	for v := range s.Graph.Neighbors {
-		if int32(v) == moved || s.Dead[v] {
+	for v := 0; v < s.NumNodes(); v++ {
+		if int32(v) == moved || s.Dead(int32(v)) {
 			continue
 		}
 		want = append(want, Neighbor{ID: int32(v), Sim: core.Jaccard(target, fps[v])})
 	}
 	sortNeighborsRanked(want)
-	got := s.Graph.Neighbors[moved]
+	got := s.Neighbors(moved)
 	if len(got) != min(k, len(want)) {
 		t.Fatalf("moved node has %d neighbors, want %d", len(got), min(k, len(want)))
 	}
@@ -193,10 +197,10 @@ func TestOnlineOverwriteMovesNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = o.Snapshot()
-	if s.Dead[moved] || s.Live != len(fps)-1 {
-		t.Errorf("revive failed: dead=%v live=%d", s.Dead[moved], s.Live)
+	if s.Dead(moved) || s.Live != len(fps)-1 {
+		t.Errorf("revive failed: dead=%v live=%d", s.Dead(moved), s.Live)
 	}
-	if len(s.Graph.Neighbors[moved]) == 0 {
+	if len(s.Neighbors(moved)) == 0 {
 		t.Errorf("revived node has no neighbors")
 	}
 }
@@ -260,10 +264,10 @@ func TestOnlineDeterminism(t *testing.T) {
 	if a.Seq != b.Seq || a.Live != b.Live {
 		t.Fatalf("runs diverged: seq %d/%d live %d/%d", a.Seq, b.Seq, a.Live, b.Live)
 	}
-	if !reflect.DeepEqual(a.Graph, b.Graph) {
+	if !reflect.DeepEqual(a.Graph(), b.Graph()) {
 		t.Error("KNN graphs diverged across identical runs")
 	}
-	if !reflect.DeepEqual(a.Nav, b.Nav) {
+	if !reflect.DeepEqual(a.Nav(), b.Nav()) {
 		t.Error("navigable graphs diverged across identical runs")
 	}
 }
@@ -301,7 +305,7 @@ func TestOnlineTouchedReplayReconstructsGraph(t *testing.T) {
 			apply(res)
 		}
 	}
-	final := o.Snapshot().Graph
+	final := o.Snapshot().Graph()
 	if !reflect.DeepEqual(shadow, final) {
 		for u := range final.Neighbors {
 			if !reflect.DeepEqual(shadow.Neighbors[u], final.Neighbors[u]) {
@@ -339,8 +343,10 @@ func TestApplyTouchedRejectsInvalid(t *testing.T) {
 }
 
 // TestOnlineSnapshotImmutableUnderMutations: concurrent readers hold old
-// snapshots while mutations continue; the copy-on-write discipline means
-// the race detector stays quiet and old snapshots keep their content.
+// snapshots while a thousand mutations continue; the copy-on-write pages
+// mean the race detector stays quiet, and a snapshot still equals the deep
+// copy taken when it was loaded — adjacency, navigable lists and
+// tombstones.
 func TestOnlineSnapshotImmutableUnderMutations(t *testing.T) {
 	fps := onlineFixture(t, 0.04, 23)
 	const k = 8
@@ -350,8 +356,8 @@ func TestOnlineSnapshotImmutableUnderMutations(t *testing.T) {
 		o.Insert(fp)
 	}
 	frozen := o.Snapshot()
-	frozenEdges := frozen.Graph.NumEdges()
 	frozenSeq := frozen.Seq
+	wantGraph, wantNav, wantDead := deepCopyGraph(frozen.Graph()), deepCopyGraph(frozen.Nav()), frozen.DeadFlags()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -366,30 +372,117 @@ func TestOnlineSnapshotImmutableUnderMutations(t *testing.T) {
 				default:
 				}
 				s := o.Snapshot()
-				oracle := OracleFunc(func(v int32) float64 { return core.Jaccard(fps[r], fps[v]) })
-				if _, _, err := GraphSearch(s.Nav, oracle, k, SearchOptions{
-					Exclude: func(v int32) bool { return s.Dead[v] },
+				// Any deterministic score will do: the search is here to read
+				// the snapshot's pages, not to find anything.
+				oracle := OracleFunc(func(v int32) float64 { return core.Jaccard(fps[r], fps[int(v)%len(fps)]) })
+				if _, _, err := s.Search(oracle, k, SearchOptions{
+					Exclude: func(v int32) bool { return s.Dead(v) },
 				}); err != nil {
 					t.Error(err)
+					return
+				}
+				// The held snapshot is read while the writer copies and
+				// rewrites the pages it came from.
+				if frozen.Dead(int32(r)) != wantDead[r] || len(frozen.Neighbors(int32(r))) != len(wantGraph.Neighbors[r]) {
+					t.Error("held snapshot changed under a reader")
 					return
 				}
 			}
 		}(r)
 	}
 	rng := rand.New(rand.NewSource(31))
-	for _, fp := range fps[half:] {
-		o.Insert(fp)
-		if rng.Intn(3) == 0 {
+	for m := 0; m < 1000; m++ {
+		switch fp := fps[rng.Intn(len(fps))]; rng.Intn(3) {
+		case 0:
+			o.Insert(fp)
+		case 1:
 			o.Delete(int32(rng.Intn(half)))
+		default:
+			if _, err := o.Overwrite(int32(rng.Intn(half)), fp); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	if frozen.Seq != frozenSeq || frozen.Graph.NumEdges() != frozenEdges {
-		t.Error("published snapshot mutated after later writes")
+	if got := o.Snapshot().Seq; got != frozenSeq+1000 {
+		t.Fatalf("maintainer at seq %d after 1000 mutations from %d", got, frozenSeq)
 	}
-	if len(frozen.Graph.Neighbors) != half {
-		t.Errorf("frozen snapshot grew to %d nodes", len(frozen.Graph.Neighbors))
+	if frozen.Seq != frozenSeq || frozen.NumNodes() != half {
+		t.Errorf("held snapshot moved: seq %d, %d nodes", frozen.Seq, frozen.NumNodes())
+	}
+	if !reflect.DeepEqual(frozen.Graph(), wantGraph) {
+		t.Error("held snapshot's KNN lists differ from the deep copy taken at the same Seq")
+	}
+	if !reflect.DeepEqual(frozen.Nav(), wantNav) {
+		t.Error("held snapshot's navigable lists differ from the deep copy taken at the same Seq")
+	}
+	if !reflect.DeepEqual(frozen.DeadFlags(), wantDead) {
+		t.Error("held snapshot's tombstones differ from the copy taken at the same Seq")
+	}
+}
+
+// deepCopyGraph copies g down to the neighbor entries.
+func deepCopyGraph(g *Graph) *Graph {
+	out := &Graph{K: g.K, Neighbors: make([][]Neighbor, len(g.Neighbors))}
+	for u, nbrs := range g.Neighbors {
+		out.Neighbors[u] = slices.Clone(nbrs)
+	}
+	return out
+}
+
+// TestOnlineMutationAllocScaling: the bytes a mutation and the snapshot
+// after it allocate must not grow with the graph — publication copies the
+// pages the mutation touched and the page tables, not the top-level
+// arrays. At 8x the nodes the budget is 1.5x the bytes (the tables are
+// n/64 slice headers; everything else is the touched neighborhood).
+func TestOnlineMutationAllocScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volume is not meaningful under -race")
+	}
+	const k = 10
+	perMutation := func(n int) float64 {
+		profiles := clusteredProfiles(n, 300, 41)
+		scheme := core.MustScheme(1024, 41)
+		fps := scheme.FingerprintAll(profiles)
+		provider := NewPackedSHFProvider(scheme.PackProfiles(profiles[:n], 0))
+		g, _ := ClusterConquer(provider, k, Options{Seed: 41})
+		o, err := NewOnline(g, g.Navigable(provider), fps[:n:n], nil, k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(from, to int) {
+			for m := from; m < to; m++ {
+				switch m % 3 {
+				case 0:
+					o.Insert(fps[n+m])
+				case 1:
+					if _, err := o.Overwrite(int32(m*37%n), fps[n+m]); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if _, err := o.Delete(int32(m*53%n + 1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				o.Snapshot()
+			}
+		}
+		// Warm the pooled O(n) search scratch, then hold GC off: a collection
+		// empties sync.Pool and would charge the scratch to the mutations.
+		run(0, 60)
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(60, 300)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 240
+	}
+	small, large := perMutation(5000), perMutation(40000)
+	t.Logf("bytes per mutation+snapshot: %.0f at n=5k, %.0f at n=40k (x%.2f)", small, large, large/small)
+	if large > 1.5*small {
+		t.Errorf("a mutation allocates %.0f B at n=40k against %.0f B at n=5k: publication cost grows with n", large, small)
 	}
 }

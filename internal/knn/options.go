@@ -75,8 +75,8 @@ const (
 	MetricProgressDone  = "build.progress.done"
 	MetricProgressTotal = "build.progress.total"
 	// MetricPhase is the text value holding the current build phase
-	// ("pack", "init", "scan", "iterate", "merge", "bucket", "refine",
-	// "idle").
+	// ("snapshot", "init", "scan", "iterate", "merge", "bucket",
+	// "refine", "idle").
 	MetricPhase = "build.phase"
 )
 

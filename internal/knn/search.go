@@ -4,6 +4,8 @@ import (
 	"context"
 	"sort"
 	"sync"
+
+	"goldfinger/internal/cow"
 )
 
 // This file implements graph-navigated top-k search: instead of scanning
@@ -241,7 +243,10 @@ var searchPool = sync.Pool{New: func() any { return new(searchState) }}
 // (the array is wiped only on the 2³²-th reuse, when the stamp wraps).
 func (st *searchState) reset(n int) {
 	if len(st.marks) < n {
-		st.marks = make([]uint32, n)
+		// With headroom: an online graph gains a node per insert, and an
+		// exact-size array would be reallocated — all n entries of it — by
+		// the first search after every one.
+		st.marks = make([]uint32, n+n/4)
 		st.stamp = 0
 	}
 	st.stamp++
@@ -357,11 +362,37 @@ func (st *searchState) consider(v int32, oracle SearchOracle, ef int, excluded b
 // as the oracle is; per-query scratch comes from an internal pool, so a
 // steady query load allocates only the returned slice.
 func GraphSearch(g *Graph, oracle SearchOracle, k int, opts SearchOptions) ([]Neighbor, SearchStats, error) {
+	if g == nil {
+		return nil, SearchStats{}, nil
+	}
+	return graphSearch(g, oracle, k, opts)
+}
+
+// adjacency is the graph a search descends: a node count and each node's
+// out-edges. The descent asks once per hop, so the indirection is noise
+// beside the ~20 similarity computations a hop triggers.
+type adjacency interface {
+	numNodes() int
+	neighborsOf(v int32) []Neighbor
+}
+
+func (g *Graph) numNodes() int                  { return len(g.Neighbors) }
+func (g *Graph) neighborsOf(v int32) []Neighbor { return g.Neighbors[v] }
+
+// pagedAdjacency is an online-maintained adjacency: the maintainer's own
+// working state, or a published snapshot of it. It wraps a pointer so the
+// interface conversion does not allocate.
+type pagedAdjacency struct{ nodes *cow.View[node] }
+
+func (a pagedAdjacency) numNodes() int                  { return a.nodes.Len() }
+func (a pagedAdjacency) neighborsOf(v int32) []Neighbor { return a.nodes.At(int(v)).nav }
+
+func graphSearch(g adjacency, oracle SearchOracle, k int, opts SearchOptions) ([]Neighbor, SearchStats, error) {
 	var stats SearchStats
-	if g == nil || len(g.Neighbors) == 0 || k <= 0 {
+	n := g.numNodes()
+	if n == 0 || k <= 0 {
 		return nil, stats, nil
 	}
-	n := len(g.Neighbors)
 	if k > n {
 		k = n
 	}
@@ -425,7 +456,7 @@ func GraphSearch(g *Graph, oracle SearchOracle, k int, opts SearchOptions) ([]Ne
 			break
 		}
 		stats.Hops++
-		for _, nb := range g.Neighbors[c.ID] {
+		for _, nb := range g.neighborsOf(c.ID) {
 			v := nb.ID
 			if v < 0 || int(v) >= n || st.visit(v) {
 				continue

@@ -24,7 +24,7 @@ func TestBuildClusterAlgorithm(t *testing.T) {
 	if br.Comparisons == 0 {
 		t.Fatal("cluster build reported zero comparisons")
 	}
-	ep := srv.epoch.Load()
+	ep := srv.view.Load().epoch
 	if ep == nil || ep.algorithm != "cluster" {
 		t.Fatal("epoch not published with algorithm=cluster")
 	}
@@ -47,7 +47,7 @@ func TestQueryClusterSeededMatchesScan(t *testing.T) {
 	}
 	resp, _ := buildGraph(t, ts, "?k=3&algo=cluster")
 	resp.Body.Close()
-	if ep := srv.epoch.Load(); ep == nil || ep.clusters == nil {
+	if ep := srv.view.Load().epoch; ep == nil || ep.clusters == nil {
 		t.Fatal("no cluster epoch")
 	}
 
@@ -82,7 +82,7 @@ func TestQuerySeedsHelper(t *testing.T) {
 	}
 	resp, _ := buildGraph(t, ts, "?k=3&algo=cluster")
 	resp.Body.Close()
-	ep := srv.epoch.Load()
+	ep := srv.view.Load().epoch
 	fp := scheme.Fingerprint(queryProfile(7))
 	seeds := querySeeds(ep, fp, len(ep.users))
 	if len(seeds) == 0 {
@@ -96,7 +96,7 @@ func TestQuerySeedsHelper(t *testing.T) {
 
 	resp, _ = buildGraph(t, ts, "?k=3&algo=bruteforce")
 	resp.Body.Close()
-	if got := querySeeds(srv.epoch.Load(), fp, 50); got != nil {
+	if got := querySeeds(srv.view.Load().epoch, fp, 50); got != nil {
 		t.Fatalf("non-cluster epoch produced seeds %v, want nil", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestSetClusterConfigPlumbing(t *testing.T) {
 	}
 	resp, _ := buildGraph(t, ts, "?k=3&algo=cluster")
 	resp.Body.Close()
-	ep := srv.epoch.Load()
+	ep := srv.view.Load().epoch
 	if ep == nil || ep.clusters == nil {
 		t.Fatal("no cluster epoch")
 	}

@@ -233,17 +233,16 @@ func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 
 	var ids []string
 	var fps []core.Fingerprint
-	s.mu.RLock()
-	for i, id := range s.users {
-		if i < len(s.deleted) && s.deleted[i] {
+	v := s.view.Load()
+	for i := 0; i < v.users.Len(); i++ {
+		if v.deleted.At(i) {
 			continue
 		}
-		if rv.ownerOf(id) == to {
+		if id := v.users.At(i); rv.ownerOf(id) == to {
 			ids = append(ids, id)
-			fps = append(fps, s.fps[i])
+			fps = append(fps, v.corpus.Fingerprint(i))
 		}
 	}
-	s.mu.RUnlock()
 
 	s.obs.Counter(metricMigExports).Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -324,7 +323,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 			httpError(w, statusClientClosedRequest, "import canceled: %v", err)
 			return
 		}
-		if err := s.applyMigratedPut(id, fps[i]); err != nil {
+		if _, err := s.applyPut(id, fps[i]); err != nil {
 			setRetryAfter(w, degradedRetryAfter)
 			httpError(w, http.StatusServiceUnavailable, "applying migrated user %q: %v", id, err)
 			return
@@ -372,21 +371,22 @@ func (s *Server) handleMigrateRetire(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.RLock()
 	var targets []string
-	for i, id := range s.users {
-		if i < len(s.deleted) && s.deleted[i] {
+	v := s.view.Load()
+	for i := 0; i < v.users.Len(); i++ {
+		if v.deleted.At(i) {
 			continue
 		}
-		if rv.ownerOf(id) != rv.self {
+		if id := v.users.At(i); rv.ownerOf(id) != rv.self {
 			targets = append(targets, id)
 		}
 	}
-	s.mu.RUnlock()
 
 	retired := 0
 	for _, id := range targets {
-		if err := s.applyMigratedDelete(id); err != nil {
+		// Unknown ids are a no-op: the targets come from the live table, so
+		// that only happens on races with concurrent retires.
+		if _, err := s.applyDelete(id); err != nil {
 			setRetryAfter(w, degradedRetryAfter)
 			httpError(w, http.StatusServiceUnavailable, "retiring user %q: %v", id, err)
 			return
@@ -405,93 +405,13 @@ func (s *Server) handleMigrateRetire(w http.ResponseWriter, r *http.Request) {
 // journalMigration appends one handoff mark to the WAL (no-op without a
 // store). Marks carry the current mutation counter without advancing it.
 func (s *Server) journalMigration(phase durable.MigPhase, epoch uint64, peer string, users uint32) error {
-	if s.store == nil {
-		return nil
-	}
-	if s.store.Degraded() {
-		return durable.ErrDegraded
-	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	s.mu.RLock()
-	seq := s.mutSeq
-	s.mu.RUnlock()
-	err := s.store.Append(durable.Record{
+	return s.logMutation(durable.Record{
 		Kind:   durable.KindMigration,
-		MutSeq: seq,
+		MutSeq: s.view.Load().mutSeq,
 		Mig:    &durable.MigrationMark{Phase: phase, Epoch: epoch, Peer: peer, Users: users},
 	})
-	if err != nil {
-		s.obs.SetText(metricDurableError, err.Error())
-	}
-	return err
-}
-
-// applyMigratedPut is the WAL-backed mutation path of putFingerprint
-// without the HTTP shell: append-before-apply under writeMu, then the
-// online-graph update. Import streams go through it so a migrated user is
-// exactly as durable as an acked client PUT.
-func (s *Server) applyMigratedPut(id string, fp core.Fingerprint) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.RLock()
-	next := s.mutSeq + 1
-	s.mu.RUnlock()
-	if s.store != nil {
-		if s.store.Degraded() {
-			return durable.ErrDegraded
-		}
-		if err := s.store.Append(durable.Record{Kind: durable.KindPut, MutSeq: next, ID: id, FP: fp}); err != nil {
-			s.obs.SetText(metricDurableError, err.Error())
-			return err
-		}
-	}
-	s.mu.Lock()
-	i, ok := s.index[id]
-	if ok {
-		s.fps[i] = fp
-		s.deleted[i] = false
-	} else {
-		i = len(s.users)
-		s.index[id] = i
-		s.users = append(s.users, id)
-		s.fps = append(s.fps, fp)
-		s.deleted = append(s.deleted, false)
-	}
-	s.mutSeq++
-	s.mu.Unlock()
-	s.applyOnline(next, i, fp, false)
-	return nil
-}
-
-// applyMigratedDelete is deleteFingerprint without the HTTP shell.
-// Unknown ids are a no-op (retire targets are computed from the live
-// table, so this only happens on races with concurrent retires).
-func (s *Server) applyMigratedDelete(id string) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.RLock()
-	i, known := s.index[id]
-	next := s.mutSeq + 1
-	s.mu.RUnlock()
-	if !known {
-		return nil
-	}
-	if s.store != nil {
-		if s.store.Degraded() {
-			return durable.ErrDegraded
-		}
-		if err := s.store.Append(durable.Record{Kind: durable.KindDelete, MutSeq: next, ID: id}); err != nil {
-			s.obs.SetText(metricDurableError, err.Error())
-			return err
-		}
-	}
-	s.mu.Lock()
-	s.deleted[i] = true
-	s.mutSeq++
-	s.mu.Unlock()
-	s.applyOnline(next, i, core.Fingerprint{}, true)
-	return nil
 }
 
 // pullExport fetches and decodes one export stream.

@@ -274,10 +274,9 @@ func TestMetricsSnapshotMonotoneAndMatchesBuilds(t *testing.T) {
 		t.Errorf("counters not monotone across builds: %+v then %+v", m1.Counters, m2.Counters)
 	}
 
-	// Per-phase durations: the bruteforce build observed pack/scan/merge,
-	// the hyrec build init/iterate, and both the total build histogram.
+	// Per-phase durations: the bruteforce build observed scan/merge, the
+	// hyrec build init/iterate, and both the total build histogram.
 	for name, wantCount := range map[string]int64{
-		"build.phase.pack.seconds":  2,
 		"build.phase.scan.seconds":  1,
 		"build.phase.merge.seconds": 1,
 		"build.phase.init.seconds":  1,
@@ -341,10 +340,10 @@ func TestStatsReportPhaseAndProgressDuringBuild(t *testing.T) {
 	if !st.BuildRunning {
 		t.Error("stats do not show the running build")
 	}
-	// The hook fires after the pack phase completed and before the builder
-	// set its own phase, so the phase text must be "pack".
-	if st.BuildPhase != "pack" {
-		t.Errorf("build_phase = %q, want pack", st.BuildPhase)
+	// The hook fires after the build took its view and before the builder
+	// set its own phase, so the phase text must be "snapshot".
+	if st.BuildPhase != "snapshot" {
+		t.Errorf("build_phase = %q, want snapshot", st.BuildPhase)
 	}
 	if st.BuildElapsedMS < 0 {
 		t.Errorf("build_elapsed_ms = %g", st.BuildElapsedMS)

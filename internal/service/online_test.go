@@ -153,9 +153,7 @@ func TestOnlineMutationsRaceQueriesAndBuild(t *testing.T) {
 				return
 			default:
 			}
-			srv.mu.RLock()
-			cur := srv.mutSeq
-			srv.mu.RUnlock()
+			cur := srv.view.Load().mutSeq
 			if cur < last {
 				seqViola.Add(1)
 				return

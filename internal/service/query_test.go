@@ -17,6 +17,14 @@ import (
 	"goldfinger/internal/profile"
 )
 
+// installEpoch publishes a frozen epoch (no online maintainer) the way a
+// build publish would.
+func installEpoch(srv *Server, ep *graphEpoch) {
+	srv.writeMu.Lock()
+	defer srv.writeMu.Unlock()
+	srv.installEpoch(ep)
+}
+
 // queryProfile builds an overlapping-item profile so every test user has
 // non-zero similarity to its index neighbors.
 func queryProfile(i int) profile.Profile {
@@ -156,10 +164,8 @@ func TestQueryAutoStaleEpochFallsBackToScan(t *testing.T) {
 		putFingerprint(t, ts, scheme, users[i], profiles[i]).Body.Close()
 	}
 	g, _ := knn.BruteForce(knn.NewSHFProvider(scheme, profiles), 2, knn.Options{})
-	srv.mu.RLock()
-	mutSeq := srv.mutSeq
-	srv.mu.RUnlock()
-	srv.epoch.Store(&graphEpoch{
+	mutSeq := srv.view.Load().mutSeq
+	installEpoch(srv, &graphEpoch{
 		seq:    srv.epochSeq.Add(1),
 		graph:  g,
 		nav:    g.Navigable(nil),
@@ -214,10 +220,8 @@ func TestQueryGraphIsolatedNodesFallBackToScan(t *testing.T) {
 	// Install an epoch whose graph is valid but edgeless: only the seed
 	// nodes are reachable, so any k above the seed count comes back short.
 	edgeless := &knn.Graph{K: 2, Neighbors: make([][]knn.Neighbor, n)}
-	srv.mu.RLock()
-	mutSeq := srv.mutSeq
-	srv.mu.RUnlock()
-	srv.epoch.Store(&graphEpoch{
+	mutSeq := srv.view.Load().mutSeq
+	installEpoch(srv, &graphEpoch{
 		seq:    srv.epochSeq.Add(1),
 		graph:  edgeless,
 		nav:    edgeless.Navigable(nil),

@@ -7,39 +7,46 @@
 //
 // # Concurrency model
 //
-// The mutable state (user table + fingerprint slice) is guarded by a short
-// critical-section RWMutex; the served graph lives in an immutable,
-// versioned graphEpoch that is swapped in atomically when a build
-// completes. A build snapshots the fingerprints under the lock (a cheap
-// slice copy — fingerprints are immutable values), runs the KNN algorithm
+// Everything a reader needs — the packed corpus, the user table, the
+// tombstones, the mutation counter, the served graph epoch and its live
+// snapshot — is one immutable view behind an atomic pointer (view.go).
+// Every read path starts with one atomic load and takes no lock; a view
+// never changes, so a long scan or descent keeps a consistent state however
+// many mutations land meanwhile. The view's parts are paged copy-on-write
+// vectors (internal/cow): core.PackedCorpus rows and cardinalities, the
+// user table and tombstone flags, knn.Online's adjacency lists.
+//
+// Mutations serialize on writeMu (the same order the WAL sees) through one
+// site, applyPut/applyDelete. A mutation derives the next view from the
+// current one — copying only the pages holding the row, table entry and
+// adjacency lists it changes, sharing every other page — and publishes it
+// when it is complete, before the ack. Publication therefore costs O(rows
+// touched): nothing is ever re-packed, the first query after a mutation
+// costs what any other query costs, and concurrent readers never race to
+// rebuild anything. The id → index map and the uploaded fingerprints (the
+// maintainer's similarity oracle) are the only state outside the view; a
+// short RWMutex guards them.
+//
+// A build reads the view current at its start, runs the KNN algorithm
 // entirely outside any lock, and publishes the result as a new epoch.
 // Uploads, neighborhood reads and queries therefore never wait on a build.
 //
-// Builds and queries both run on a core.PackedCorpus — one contiguous
-// row-major bit array the blocked similarity kernels stream — held in a
-// packedCache validated against the mutation counter: as long as no upload
-// lands, successive builds and queries reuse the same immutable corpus;
-// after an upload the next caller re-packs outside the lock and swaps the
-// cache atomically. The corpus is never mutated in place, so readers of a
-// superseded cache stay safe.
-//
-// An epoch is no longer frozen at build time: each published (or
-// recovered) epoch wraps its graph in a knn.Online maintainer, and every
-// accepted mutation — PUT (insert or overwrite) and DELETE of a
-// fingerprint — is applied to the live graph before the ack, so it is
-// visible to neighborhood reads and graph-mode queries immediately,
-// without a rebuild. Mutations serialize on writeMu (the same order the
-// WAL sees); readers get wait-free immutable snapshots from the
-// maintainer. A build still runs periodically to shed the accumulated
+// An epoch is not frozen at build time: each published (or recovered)
+// epoch wraps its graph in a knn.Online maintainer, and every accepted
+// mutation — PUT (insert or overwrite) and DELETE of a fingerprint — is
+// applied to the live graph before the ack, so it is visible to
+// neighborhood reads and graph-mode queries immediately, without a
+// rebuild. A build still runs periodically to shed the accumulated
 // approximation drift of incremental repair: at publish it drains, under
-// writeMu, every mutation that landed while it ran into a fresh
-// maintainer, so the new epoch starts current. Only when the graph epoch
-// genuinely lags the state — crash recovery lost the tail of the graph
-// deltas, or no build has happened yet — do reads fall back to the old
-// contract: 409 for a user the epoch has never seen, scan fallback for
-// auto-mode queries. At most one build runs at a time: a concurrent POST
-// /graph/build gets 409 with a Retry-After header rather than queuing a
-// redundant build.
+// writeMu, every mutation that landed while it ran into a fresh maintainer
+// — found by comparing the build's corpus with the current one page by
+// page, skipping the pages they still share — so the new epoch starts
+// current. Only when the graph epoch genuinely lags the state — crash
+// recovery lost the tail of the graph deltas, or no build has happened yet
+// — do reads fall back to the old contract: 409 for a user the epoch has
+// never seen, scan fallback for auto-mode queries. At most one build runs
+// at a time: a concurrent POST /graph/build gets 409 with a Retry-After
+// header rather than queuing a redundant build.
 //
 // # Observability and cancellation
 //
@@ -125,14 +132,15 @@ import (
 	"goldfinger/internal/admit"
 	"goldfinger/internal/cluster"
 	"goldfinger/internal/core"
+	"goldfinger/internal/cow"
 	"goldfinger/internal/durable"
 	"goldfinger/internal/knn"
 	"goldfinger/internal/obs"
 )
 
 // graphEpoch is one immutable build result: the graph plus the user table
-// and parameters it was built from. Readers load the current epoch with a
-// single atomic pointer read and never block builds or uploads.
+// and parameters it was built from. Readers find the current epoch in the
+// view they load and never block builds or uploads.
 type graphEpoch struct {
 	seq   int64 // monotonically increasing build number (1-based)
 	graph *knn.Graph
@@ -155,7 +163,7 @@ type graphEpoch struct {
 	mutSeq    uint64 // mutation counter value the epoch started from
 	// online maintains the epoch's graph under mutations: inserts, over-
 	// writes and deletes apply to it in mutSeq order (under writeMu), and
-	// every read path serves its current immutable snapshot. Node ids are
+	// every read path serves the snapshot published in its view. Node ids are
 	// dense server indices — identical to the user-table indices — so the
 	// snapshot's graph indexes the append-only user table directly. nil
 	// only for epochs installed directly by tests; those serve the frozen
@@ -167,22 +175,27 @@ type graphEpoch struct {
 type Server struct {
 	bits int
 
-	mu      sync.RWMutex
-	users   []string // dense index → external user id; append-only
-	index   map[string]int
-	fps     []core.Fingerprint
-	deleted []bool // tombstones, same length as users; a re-upload revives
-	mutSeq  uint64 // bumped on every fingerprint upload, replacement or delete
+	// view is the published state every read path serves from; never nil.
+	// Replaced only under writeMu (view.go).
+	view atomic.Pointer[view]
 
-	epoch    atomic.Pointer[graphEpoch]
+	// index and fps are the mutable state outside the view: the id → dense
+	// index map and the uploaded fingerprints (index-aligned with the
+	// view's user table, possibly one in-flight mutation ahead of it).
+	// They change only under writeMu and mu together, so a writer holding
+	// writeMu reads them without mu; everyone else takes mu.
+	mu    sync.RWMutex
+	index map[string]int
+	fps   []core.Fingerprint
+
 	building atomic.Bool // build-in-progress guard
 	epochSeq atomic.Int64
-	packed   atomic.Pointer[packedCache]
 
-	// store, when non-nil, makes mutations durable: putFingerprint appends
-	// to its WAL before acking, builds persist their epoch, and compaction
-	// folds the WAL into state snapshots. writeMu serializes all writers so
-	// the WAL receives records in exactly the order memory applies them.
+	// store, when non-nil, makes mutations durable: applyPut/applyDelete
+	// append to its WAL before acking, builds persist their epoch, and
+	// compaction folds the WAL into state snapshots. writeMu serializes all
+	// writers so the WAL receives records in exactly the order memory
+	// applies them.
 	store      *durable.Store
 	writeMu    sync.Mutex
 	compacting atomic.Bool // threshold-triggered compaction in flight
@@ -238,78 +251,25 @@ type Server struct {
 	migrateRate atomic.Int64
 }
 
-// packedCache is one immutable packed snapshot of the corpus: the row-major
-// packed fingerprints, the user table and tombstone bitmap they index into,
-// and the mutation counter value they were taken at. fps keeps the unpacked
-// fingerprints alive so a build publish can diff them against the current
-// state when draining pending mutations.
-type packedCache struct {
-	corpus  *core.PackedCorpus
-	users   []string
-	fps     []core.Fingerprint
-	deleted []bool
-	dead    int // number of true bits in deleted
-	mutSeq  uint64
-}
-
-// packedSnapshot returns a packed corpus consistent with the current
-// mutation counter. If the cached corpus is current it is returned as-is
-// (the common case for query bursts and repeated builds); otherwise the
-// fingerprints are snapshotted under the read lock and packed outside any
-// lock, and the result is published unless a packer for a newer mutation
-// got there first. Superseded corpora remain valid for whoever still holds
-// them — nothing is ever packed in place.
-func (s *Server) packedSnapshot() (*packedCache, error) {
-	s.mu.RLock()
-	mutSeq := s.mutSeq
-	if c := s.packed.Load(); c != nil && c.mutSeq == mutSeq {
-		s.mu.RUnlock()
-		return c, nil
-	}
-	users := make([]string, len(s.users))
-	copy(users, s.users)
-	fps := make([]core.Fingerprint, len(s.fps))
-	copy(fps, s.fps)
-	deleted := make([]bool, len(s.deleted))
-	copy(deleted, s.deleted)
-	s.mu.RUnlock()
-
-	corpus, err := core.NewPackedCorpus(s.bits, fps)
-	if err != nil {
-		return nil, err
-	}
-	dead := 0
-	for _, d := range deleted {
-		if d {
-			dead++
-		}
-	}
-	c := &packedCache{corpus: corpus, users: users, fps: fps, deleted: deleted, dead: dead, mutSeq: mutSeq}
-	for {
-		old := s.packed.Load()
-		if old != nil && old.mutSeq >= mutSeq {
-			break // a concurrent packer published a same-or-newer snapshot
-		}
-		if s.packed.CompareAndSwap(old, c) {
-			break
-		}
-	}
-	return c, nil
-}
-
 // NewServer creates a service accepting fingerprints of the given length,
 // with the default admission configuration (admit.DefaultConfig).
 func NewServer(bits int) (*Server, error) {
 	if bits <= 0 {
 		return nil, fmt.Errorf("service: fingerprint length must be positive, got %d", bits)
 	}
+	v, err := newView(bits)
+	if err != nil {
+		return nil, err
+	}
 	reg := obs.NewRegistry()
-	return &Server{
+	s := &Server{
 		bits:  bits,
 		index: map[string]int{},
 		obs:   reg,
 		admit: admit.NewController(admit.DefaultConfig(), reg),
-	}, nil
+	}
+	s.view.Store(v)
+	return s, nil
 }
 
 // SetAdmission replaces the admission configuration (class limits, queue
@@ -393,9 +353,9 @@ func (s *Server) UseStore(st *durable.Store, rec durable.Recovery) error {
 	if st == nil {
 		return errors.New("service: UseStore needs a store")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.users) > 0 || s.epoch.Load() != nil || s.store != nil {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	if cur := s.view.Load(); cur.users.Len() > 0 || cur.epoch != nil || s.store != nil {
 		return errors.New("service: UseStore must run before the server holds any state")
 	}
 	if len(rec.State.Users) != len(rec.State.FPS) {
@@ -423,12 +383,29 @@ func (s *Server) UseStore(st *durable.Store, rec durable.Recovery) error {
 			}
 		}
 	}
-	s.users = append([]string(nil), rec.State.Users...)
-	s.fps = append([]core.Fingerprint(nil), rec.State.FPS...)
-	s.deleted = make([]bool, len(rec.State.Users))
-	copy(s.deleted, rec.State.Deleted)
+	// Recovery is the one place the service packs a corpus from scratch;
+	// from here on it only changes by Append and WithRow.
+	corpus, err := core.NewPackedCorpus(s.bits, rec.State.FPS)
+	if err != nil {
+		return fmt.Errorf("service: packing recovered fingerprints: %w", err)
+	}
+	deleted := make([]bool, len(rec.State.Users))
+	copy(deleted, rec.State.Deleted)
+	v := &view{
+		corpus:  corpus,
+		users:   cow.FromSlice(tableShift, rec.State.Users).Publish(),
+		deleted: cow.FromSlice(tableShift, deleted).Publish(),
+		mutSeq:  rec.State.MutSeq,
+	}
+	for _, d := range deleted {
+		if d {
+			v.dead++
+		}
+	}
+	s.mu.Lock()
 	s.index = index
-	s.mutSeq = rec.State.MutSeq
+	s.fps = append([]core.Fingerprint(nil), rec.State.FPS...)
+	s.mu.Unlock()
 	s.store = st
 	if rec.Migration != nil {
 		// An import was journaled as begun but never done: the crash hit
@@ -443,14 +420,10 @@ func (s *Server) UseStore(st *durable.Store, rec durable.Recovery) error {
 
 	if ep := rec.Epoch; ep != nil {
 		// Rebuilding the navigable graph wants a similarity oracle for
-		// diversity selection; pack the epoch's prefix of the recovered
-		// corpus (the user-table validation above guarantees it is one).
-		// A packing failure only degrades edge selection, never recovery.
-		var prov knn.Provider
-		if c, err := core.NewPackedCorpus(s.bits, rec.State.FPS[:len(ep.Users)]); err == nil {
-			prov = knn.NewPackedSHFProvider(c)
-		}
-		nav := ep.Graph.Navigable(prov)
+		// diversity selection: the recovered corpus serves — the epoch's
+		// nodes are a prefix of its rows (the user-table validation above
+		// guarantees it).
+		nav := ep.Graph.Navigable(knn.NewPackedSHFProvider(corpus))
 		// Resume online maintenance where the recovered epoch left off: the
 		// maintainer's sequence number is the epoch's MutSeq, so if the WAL
 		// warm-up caught the epoch fully up to the state, the very next
@@ -463,7 +436,7 @@ func (s *Server) UseStore(st *durable.Store, rec durable.Recovery) error {
 		if oerr != nil {
 			return fmt.Errorf("service: recovered epoch rejected by online maintainer: %w", oerr)
 		}
-		ge := &graphEpoch{
+		v.epoch = &graphEpoch{
 			seq:       ep.Seq,
 			graph:     ep.Graph,
 			nav:       nav,
@@ -476,70 +449,12 @@ func (s *Server) UseStore(st *durable.Store, rec durable.Recovery) error {
 			mutSeq:    ep.MutSeq,
 			online:    online,
 		}
-		s.epoch.Store(ge)
+		v.live = online.Snapshot()
 		s.epochSeq.Store(ep.Seq)
 		s.obs.Gauge(metricEpoch).Set(ep.Seq)
 	}
+	s.view.Store(v)
 	return nil
-}
-
-// captureState snapshots the mutable state — and, when a live epoch
-// exists, its current graph — for a WAL compaction. durable.Store.Compact
-// re-invokes it until the captured mutSeq covers every sealed WAL record.
-//
-// The epoch snapshot is taken *before* the state so the epoch can never be
-// ahead of the state copy (mutations apply state first, then graph; the
-// reverse order could capture a graph node whose user the state copy
-// misses). That ordering can leave the epoch one step behind a racing
-// mutation, so a short retry loop waits for a matched pair; if the pair
-// stays mismatched (the epoch genuinely lags — recovery lost the delta
-// tail), the stable stale pair is returned as-is. Compaction then deletes
-// the sealed deltas the stale epoch never saw, which is safe: recovery
-// refuses non-contiguous deltas, so the epoch simply recovers stale again
-// rather than warm-and-wrong.
-//
-// This function deliberately never takes writeMu: Compact invokes it while
-// holding the store's snapshot lock, and a build publish holds writeMu
-// while saving its epoch (which takes that same snapshot lock) — capture
-// waiting on writeMu would deadlock the pair.
-func (s *Server) captureState() (durable.State, *durable.EpochData) {
-	var prevSeq uint64
-	var prevMut uint64
-	for attempt := 0; ; attempt++ {
-		ep := s.epoch.Load()
-		var snap *knn.OnlineSnapshot
-		if ep != nil && ep.online != nil {
-			snap = ep.online.Snapshot()
-		}
-		s.mu.RLock()
-		st := durable.State{
-			Users:   append([]string(nil), s.users...),
-			FPS:     append([]core.Fingerprint(nil), s.fps...),
-			Deleted: append([]bool(nil), s.deleted...),
-			MutSeq:  s.mutSeq,
-		}
-		s.mu.RUnlock()
-		if snap == nil {
-			return st, nil
-		}
-		stable := attempt > 0 && snap.Seq == prevSeq && st.MutSeq == prevMut
-		if snap.Seq == st.MutSeq || stable || attempt > 50 {
-			return st, &durable.EpochData{
-				Seq:       ep.seq,
-				K:         ep.k,
-				Algorithm: ep.algorithm,
-				BuiltAt:   ep.builtAt,
-				Duration:  ep.duration,
-				Stats:     ep.stats,
-				MutSeq:    snap.Seq,
-				Users:     st.Users[:snap.NumNodes()],
-				Graph:     snap.Graph,
-				Dead:      snap.Dead,
-			}
-		}
-		prevSeq, prevMut = snap.Seq, st.MutSeq
-		time.Sleep(200 * time.Microsecond)
-	}
 }
 
 // compact folds the WAL into a fresh state snapshot, recording failures in
@@ -712,7 +627,7 @@ func (s *Server) buildRetryAfter() time.Duration {
 	if timeout := time.Duration(s.buildTimeout.Load()); timeout > 0 {
 		return timeout - elapsed
 	}
-	if ep := s.epoch.Load(); ep != nil && ep.duration > 0 {
+	if ep := s.view.Load().epoch; ep != nil && ep.duration > 0 {
 		return ep.duration - elapsed
 	}
 	return time.Second
@@ -821,25 +736,13 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Load the epoch before reading mutSeq: mutSeq only grows, so the flag
-	// can only over-report staleness for an epoch that was just superseded,
-	// never report a fresh epoch as stale.
-	ep := s.epoch.Load()
-	s.mu.RLock()
-	users := len(s.users)
-	mutSeq := s.mutSeq
-	deletedUsers := 0
-	for _, d := range s.deleted {
-		if d {
-			deletedUsers++
-		}
-	}
-	s.mu.RUnlock()
+	v := s.view.Load()
+	ep := v.epoch
 
 	st := Stats{
 		Shard:          s.shardName,
 		Importing:      s.importing.Load(),
-		Users:          users,
+		Users:          v.users.Len(),
 		Bits:           s.bits,
 		BuildRunning:   s.building.Load(),
 		LastBuildError: s.obs.TextValue(metricLastError),
@@ -873,21 +776,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			st.BuildElapsedMS = float64(time.Since(time.Unix(0, ns))) / float64(time.Millisecond)
 		}
 	}
-	st.DeletedUsers = deletedUsers
+	st.DeletedUsers = v.dead
 	if ep != nil {
 		st.GraphK = ep.k
 		st.GraphBuilt = true
 		st.Epoch = ep.seq
-		st.EpochUsers = len(ep.users)
-		if ep.online != nil {
-			snap := ep.online.Snapshot()
-			st.GraphStale = mutSeq != snap.Seq
+		nodes, seq := v.graphNodes()
+		st.EpochUsers = nodes
+		st.GraphStale = v.mutSeq != seq
+		if v.live != nil {
 			st.GraphLive = !st.GraphStale
-			st.OnlineNodes = snap.NumNodes()
-			st.OnlineLive = snap.Live
-			st.EpochUsers = snap.NumNodes()
-		} else {
-			st.GraphStale = mutSeq != ep.mutSeq
+			st.OnlineNodes = nodes
+			st.OnlineLive = v.live.Live
 		}
 		st.Algorithm = ep.algorithm
 		st.BuildDurationMS = float64(ep.duration) / float64(time.Millisecond)
@@ -999,48 +899,12 @@ func (s *Server) putFingerprint(w http.ResponseWriter, r *http.Request, id strin
 	if !ok {
 		return
 	}
-	// Writers serialize on writeMu so the WAL receives records in exactly
-	// the order memory applies them — the replay skip rule (drop records at
-	// or below the snapshot's mutSeq) depends on mutSeq being monotone in
-	// append order. The WAL append happens *before* the in-memory apply and
-	// before the 204: an acked upload is durable; a failed append is a 503
-	// and the upload never happened.
 	start := time.Now()
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.RLock()
-	next := s.mutSeq + 1
-	_, existing := s.index[id]
-	s.mu.RUnlock()
-	if s.store != nil {
-		if s.store.Degraded() {
-			setRetryAfter(w, degradedRetryAfter)
-			httpError(w, http.StatusServiceUnavailable,
-				"data dir unwritable; server is read-only until restart")
-			return
-		}
-		if err := s.store.Append(durable.Record{Kind: durable.KindPut, MutSeq: next, ID: id, FP: fp}); err != nil {
-			s.obs.SetText(metricDurableError, err.Error())
-			setRetryAfter(w, degradedRetryAfter)
-			httpError(w, http.StatusServiceUnavailable, "persisting fingerprint: %v", err)
-			return
-		}
+	existing, err := s.applyPut(id, fp)
+	if err != nil {
+		mutationRefused(w, "persisting fingerprint", err)
+		return
 	}
-	s.mu.Lock()
-	i, ok := s.index[id]
-	if ok {
-		s.fps[i] = fp
-		s.deleted[i] = false // a re-upload revives a tombstoned user
-	} else {
-		i = len(s.users)
-		s.index[id] = i
-		s.users = append(s.users, id)
-		s.fps = append(s.fps, fp)
-		s.deleted = append(s.deleted, false)
-	}
-	s.mutSeq++
-	s.mu.Unlock()
-	s.applyOnline(next, i, fp, false)
 	if existing {
 		s.obs.Counter(metricMutOverwrite).Inc()
 		s.obs.Histogram(metricMutOverwriteSecs, obs.DefWaitBuckets).ObserveSince(start)
@@ -1054,43 +918,17 @@ func (s *Server) putFingerprint(w http.ResponseWriter, r *http.Request, id strin
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// deleteFingerprint retires a user's fingerprint: the user is tombstoned
-// in the state (the table itself is append-only, so indices never shift),
-// removed from the live graph epoch, and excluded from every read path.
-// The id stays reserved — a later PUT revives it at the same index.
-// Deleting an already-deleted user is an accepted, WAL-logged no-op (the
-// mutation counter still advances, keeping WAL order dense).
 func (s *Server) deleteFingerprint(w http.ResponseWriter, r *http.Request, id string) {
 	start := time.Now()
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.RLock()
-	i, known := s.index[id]
-	next := s.mutSeq + 1
-	s.mu.RUnlock()
+	known, err := s.applyDelete(id)
 	if !known {
 		httpError(w, http.StatusNotFound, "unknown user %q", id)
 		return
 	}
-	if s.store != nil {
-		if s.store.Degraded() {
-			setRetryAfter(w, degradedRetryAfter)
-			httpError(w, http.StatusServiceUnavailable,
-				"data dir unwritable; server is read-only until restart")
-			return
-		}
-		if err := s.store.Append(durable.Record{Kind: durable.KindDelete, MutSeq: next, ID: id}); err != nil {
-			s.obs.SetText(metricDurableError, err.Error())
-			setRetryAfter(w, degradedRetryAfter)
-			httpError(w, http.StatusServiceUnavailable, "persisting delete: %v", err)
-			return
-		}
+	if err != nil {
+		mutationRefused(w, "persisting delete", err)
+		return
 	}
-	s.mu.Lock()
-	s.deleted[i] = true
-	s.mutSeq++
-	s.mu.Unlock()
-	s.applyOnline(next, i, core.Fingerprint{}, true)
 	s.obs.Counter(metricMutDelete).Inc()
 	s.obs.Histogram(metricMutDeleteSecs, obs.DefWaitBuckets).ObserveSince(start)
 	if s.store != nil {
@@ -1099,68 +937,15 @@ func (s *Server) deleteFingerprint(w http.ResponseWriter, r *http.Request, id st
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// applyOnline applies one accepted, state-applied mutation to the live
-// epoch's graph and logs the resulting delta, keeping both the served
-// graph and the on-disk epoch warm. Called under writeMu with mutSeq the
-// mutation's sequence number and i the user's dense index.
-//
-// If the epoch's maintainer is not exactly one step behind (it lags —
-// recovery lost its delta tail, or no online epoch exists yet), the graph
-// is left untouched and the lag is counted: the epoch serves stale under
-// the pinned-epoch contract until the next build drains and replaces it.
-func (s *Server) applyOnline(mutSeq uint64, i int, fp core.Fingerprint, del bool) {
-	ep := s.epoch.Load()
-	if ep == nil || ep.online == nil {
+// mutationRefused answers a mutation the WAL did not accept: nothing was
+// applied, and the data dir stays read-only until restart.
+func mutationRefused(w http.ResponseWriter, what string, err error) {
+	setRetryAfter(w, degradedRetryAfter)
+	if errors.Is(err, durable.ErrDegraded) {
+		httpError(w, http.StatusServiceUnavailable, "data dir unwritable; server is read-only until restart")
 		return
 	}
-	snap := ep.online.Snapshot()
-	if snap.Seq != mutSeq-1 {
-		s.obs.Counter(metricMutStale).Inc()
-		return
-	}
-	var (
-		op  durable.DeltaOp
-		res knn.MutationResult
-		err error
-	)
-	switch {
-	case del:
-		op = durable.DeltaDelete
-		res, err = ep.online.Delete(int32(i))
-	case i == snap.NumNodes():
-		op = durable.DeltaInsert
-		var nid int32
-		nid, res = ep.online.Insert(fp)
-		if int(nid) != i {
-			// Cannot happen while the tracking invariant holds (node ids are
-			// dense user indices); recorded rather than trusted.
-			err = fmt.Errorf("online insert assigned node %d, user index is %d", nid, i)
-		}
-	default:
-		op = durable.DeltaOverwrite
-		res, err = ep.online.Overwrite(int32(i), fp)
-	}
-	if err != nil {
-		// The state applied but the graph did not: the maintainer's sequence
-		// now lags permanently and every read path sees the epoch as stale —
-		// honest degradation, repaired by the next build.
-		s.obs.SetText(metricLastError, "online graph update failed: "+err.Error())
-		s.obs.Counter(metricMutStale).Inc()
-		return
-	}
-	s.obs.Counter(metricMutComparisons).Add(int64(res.Comparisons))
-	if s.store != nil && !s.store.Degraded() {
-		if aerr := s.store.Append(durable.Record{
-			Kind:   durable.KindGraphDelta,
-			MutSeq: mutSeq,
-			Delta:  &durable.GraphDelta{Op: op, Node: int32(i), Adj: res.Touched},
-		}); aerr != nil {
-			// The mutation itself is durable (its put/delete record landed);
-			// only the graph delta is lost, so recovery comes back with a
-			// colder graph. The store has already flipped degraded.
-			s.obs.SetText(metricDurableError, aerr.Error())
-		}
-	}
+	httpError(w, http.StatusServiceUnavailable, "%s: %v", what, err)
 }
 
 // BuildResult is the /graph/build response.
@@ -1181,7 +966,6 @@ const (
 	metricCanceled  = "build.canceled.total"
 	metricTimeouts  = "build.timeout.total"
 	metricBuildSecs = "build.seconds"
-	metricPackSecs  = "build.phase.pack.seconds"
 	metricEpoch     = "build.epoch"
 	metricLastError = "build.last_error"
 	metricBuildAlgo = "build.algorithm"
@@ -1319,18 +1103,12 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	s.obs.Counter(metricBuilds).Inc()
 	s.obs.SetText(metricBuildAlgo, algo)
 
-	// Snapshot the corpus in packed form: reuses the cached packing when no
-	// upload landed since, and otherwise packs outside any lock — so uploads
-	// and reads proceed while the O(n²) construction churns.
-	s.obs.SetText(knn.MetricPhase, "pack")
-	packStart := time.Now()
-	snap, err := s.packedSnapshot()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "packing corpus: %v", err)
-		return
-	}
-	s.obs.Histogram(metricPackSecs, obs.DefTimeBuckets).ObserveSince(packStart)
-	users := snap.users
+	// The build runs over the view current now: an immutable corpus, so
+	// uploads and reads proceed while the construction churns, and whatever
+	// they change is drained into the new epoch at publish.
+	s.obs.SetText(knn.MetricPhase, "snapshot")
+	snap := s.view.Load()
+	users := snap.users.Flat()
 
 	if len(users) < 2 {
 		httpError(w, http.StatusConflict, "need at least 2 fingerprints, have %d", len(users))
@@ -1399,43 +1177,38 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	// for the *new* epoch must never reach the WAL before the epoch itself
 	// reaches disk, or a crash would replay it onto the old epoch.
 	s.writeMu.Lock()
-	s.mu.RLock()
-	curUsers := append([]string(nil), s.users...)
-	curFPS := append([]core.Fingerprint(nil), s.fps...)
-	curDeleted := append([]bool(nil), s.deleted...)
-	curMutSeq := s.mutSeq
-	s.mu.RUnlock()
-
-	pendingOps := len(curUsers) - len(users) // inserts
-	for i := range users {
-		if !curDeleted[i] && !fpEqual(curFPS[i], snap.fps[i]) {
-			pendingOps++ // overwrite
+	cur := s.view.Load()
+	// What changed during the build, read off the pages the two corpora no
+	// longer share: rows past the build's are inserts, differing rows of
+	// live users overwrites, and every current tombstone a delete (the
+	// build indexed tombstoned rows like any other).
+	var overwrites, deletes []int32
+	for _, i := range cur.corpus.ChangedRows(snap.corpus) {
+		if !cur.deleted.At(int(i)) {
+			overwrites = append(overwrites, i)
 		}
 	}
-	for i := range curUsers {
-		if curDeleted[i] {
-			pendingOps++ // delete
+	for i := 0; cur.dead > 0 && i < cur.users.Len(); i++ {
+		if cur.deleted.At(i) {
+			deletes = append(deletes, int32(i))
 		}
 	}
-	online, oerr := knn.NewOnline(g, nav, append([]core.Fingerprint(nil), snap.fps...), nil, k,
-		curMutSeq-uint64(pendingOps))
+	pendingOps := cur.users.Len() - len(users) + len(overwrites) + len(deletes)
+	online, oerr := knn.NewOnline(g, nav, append([]core.Fingerprint(nil), s.fps[:len(users)]...), nil, k,
+		cur.mutSeq-uint64(pendingOps))
 	if oerr != nil {
 		s.writeMu.Unlock()
 		httpError(w, http.StatusInternalServerError, "wrapping built graph: %v", oerr)
 		return
 	}
-	for i := len(users); i < len(curUsers); i++ {
-		online.Insert(curFPS[i])
+	for i := len(users); i < cur.users.Len(); i++ {
+		online.Insert(s.fps[i])
 	}
-	for i := range users {
-		if !curDeleted[i] && !fpEqual(curFPS[i], snap.fps[i]) {
-			online.Overwrite(int32(i), curFPS[i])
-		}
+	for _, i := range overwrites {
+		online.Overwrite(i, s.fps[i])
 	}
-	for i := range curUsers {
-		if curDeleted[i] {
-			online.Delete(int32(i))
-		}
+	for _, i := range deletes {
+		online.Delete(i)
 	}
 
 	ep := &graphEpoch{
@@ -1449,10 +1222,10 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		builtAt:   start,
 		duration:  duration,
 		stats:     stats,
-		mutSeq:    curMutSeq,
+		mutSeq:    cur.mutSeq,
 		online:    online,
 	}
-	s.epoch.Store(ep)
+	s.installEpoch(ep)
 	s.obs.Gauge(metricEpoch).Set(ep.seq)
 	s.obs.Histogram(metricBuildSecs, obs.DefTimeBuckets).Observe(duration.Seconds())
 
@@ -1463,19 +1236,9 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	// succeeded — report it in the response-independent durable error
 	// channel, not as a build failure.
 	if s.store != nil {
-		onSnap := online.Snapshot()
-		if err := s.store.SaveEpoch(durable.EpochData{
-			Seq:       ep.seq,
-			K:         ep.k,
-			Algorithm: ep.algorithm,
-			BuiltAt:   ep.builtAt,
-			Duration:  ep.duration,
-			Stats:     ep.stats,
-			MutSeq:    onSnap.Seq,
-			Users:     curUsers[:onSnap.NumNodes()],
-			Graph:     onSnap.Graph,
-			Dead:      onSnap.Dead,
-		}); err != nil && !errors.Is(err, durable.ErrDegraded) {
+		v := s.view.Load()
+		ed := v.epochData(v.users.Flat())
+		if err := s.store.SaveEpoch(*ed); err != nil && !errors.Is(err, durable.ErrDegraded) {
 			s.obs.SetText(metricDurableError, err.Error())
 		}
 	}
@@ -1504,17 +1267,20 @@ type NeighborJSON struct {
 func (s *Server) getNeighbors(w http.ResponseWriter, r *http.Request, id string) {
 	s.mu.RLock()
 	i, known := s.index[id]
-	dead := known && i < len(s.deleted) && s.deleted[i]
 	s.mu.RUnlock()
-	if !known {
+	// Load the view after the index: an index entry can be one in-flight
+	// PUT ahead of the published view, and a user that is not published
+	// yet is not acked yet either.
+	v := s.view.Load()
+	if !known || i >= v.users.Len() {
 		httpError(w, http.StatusNotFound, "unknown user %q", id)
 		return
 	}
-	if dead {
+	if v.deleted.At(i) {
 		httpError(w, http.StatusGone, "user %q deleted its fingerprint", id)
 		return
 	}
-	ep := s.epoch.Load()
+	ep := v.epoch
 	if ep == nil {
 		httpError(w, http.StatusConflict, "graph not built; POST /graph/build first")
 		return
@@ -1527,41 +1293,28 @@ func (s *Server) getNeighbors(w http.ResponseWriter, r *http.Request, id string)
 	// edges point at; an index at or past it means the graph epoch genuinely
 	// lags the state (recovery lost its delta tail, or the epoch predates
 	// online maintenance) and the old pinned-epoch contract applies.
+	if nodes, _ := v.graphNodes(); i >= nodes {
+		httpError(w, http.StatusConflict,
+			"user %q is not yet in the served graph (epoch %d lags the state); POST /graph/build to include it", id, ep.seq)
+		return
+	}
 	var nbrs []knn.Neighbor
-	var epDead []bool
-	if ep.online != nil {
-		snap := ep.online.Snapshot()
-		if i >= snap.NumNodes() {
-			httpError(w, http.StatusConflict,
-				"user %q is not yet in the served graph (epoch %d lags the state); POST /graph/build to include it", id, ep.seq)
-			return
-		}
-		nbrs = snap.Graph.Neighbors[i]
-		epDead = snap.Dead
+	if v.live != nil {
+		nbrs = v.live.Neighbors(int32(i))
 	} else {
-		if i >= len(ep.users) {
-			httpError(w, http.StatusConflict,
-				"user %q registered after epoch %d was built; POST /graph/build to include it", id, ep.seq)
-			return
-		}
 		nbrs = ep.graph.Neighbors[i]
 	}
 
-	// Name the edges from the current table (indices are stable) and drop
+	// Name the edges from the view's table (indices are stable) and drop
 	// edges to users deleted since the edge was recorded: the maintainer
 	// purges dead in-edges lazily, and a lagging epoch cannot know at all.
 	out := make([]NeighborJSON, 0, len(nbrs))
-	s.mu.RLock()
 	for _, nb := range nbrs {
-		if int(nb.ID) < len(s.deleted) && s.deleted[nb.ID] {
+		if v.deleted.At(int(nb.ID)) || (v.live != nil && v.live.Dead(nb.ID)) {
 			continue
 		}
-		if epDead != nil && epDead[nb.ID] {
-			continue
-		}
-		out = append(out, NeighborJSON{User: s.users[nb.ID], Similarity: nb.Sim})
+		out = append(out, NeighborJSON{User: v.users.At(int(nb.ID)), Similarity: nb.Sim})
 	}
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -1594,74 +1347,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Snapshot the packed corpus (reusing the cached packing unless an
-	// upload landed since), then search/scan outside the lock so a long
-	// query never stalls uploads. The query fingerprint was validated to
-	// the server's bit length above, so it always matches the corpus.
-	snap, err := s.packedSnapshot()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "packing corpus: %v", err)
-		return
-	}
+	// One load yields the corpus, the tombstones and the graph snapshot of
+	// the same mutation, then the search or scan runs without any lock, so
+	// a long query never stalls uploads. The query fingerprint was validated
+	// to the server's bit length above, so it always matches the corpus.
+	v := s.view.Load()
 
 	// Mode selection. The graph path navigates the served epoch's KNN
 	// graph instead of scanning all n rows. With an online-maintained
 	// epoch the graph already contains every mutation up to its sequence
-	// number, so auto picks it whenever that sequence matches the packed
-	// snapshot's — which, mutations being applied live, is the steady
-	// state, not the just-built special case. Only an epoch that genuinely
-	// lags (recovery lost its delta tail; directly-installed test epochs
-	// use their frozen build sequence) sends auto to the scan. An explicit
-	// mode=graph serves the (possibly lagging) graph's user set and is the
-	// caller's statement that approximate-but-fast beats exact-but-O(n).
-	ep := s.epoch.Load()
+	// number, so auto picks it whenever that sequence matches the view's —
+	// which, mutations being applied live, is the steady state, not the
+	// just-built special case. Only an epoch that genuinely lags (recovery
+	// lost its delta tail; directly-installed test epochs use their frozen
+	// build sequence) sends auto to the scan. An explicit mode=graph serves
+	// the (possibly lagging) graph's user set and is the caller's statement
+	// that approximate-but-fast beats exact-but-O(n).
+	ep := v.epoch
 	if mode == "graph" && ep == nil {
 		httpError(w, http.StatusConflict, "graph not built; POST /graph/build first or use mode=scan")
 		return
 	}
-	var live *knn.OnlineSnapshot
-	nav := (*knn.Graph)(nil)
-	epNodes, epSeq := 0, uint64(0)
-	if ep != nil {
-		if ep.online != nil {
-			live = ep.online.Snapshot()
-			nav, epNodes, epSeq = live.Nav, live.NumNodes(), live.Seq
-		} else {
-			nav, epNodes, epSeq = ep.nav, len(ep.users), ep.mutSeq
-		}
-	}
-	// The packed corpus and the graph snapshot are taken without a common
-	// lock, so a racing mutation can leave the graph one node ahead of the
-	// corpus; the scorer cannot score that node, so such a query scans.
-	fits := ep != nil && epNodes <= snap.corpus.NumUsers()
-	useGraph := fits && (mode == "graph" || (mode == "auto" && epSeq == snap.mutSeq))
+	epNodes, epSeq := v.graphNodes()
+	useGraph := ep != nil && (mode == "graph" || (mode == "auto" && epSeq == v.mutSeq))
 
 	// Both paths run under the request context (class deadline, client
 	// X-Request-Timeout, client disconnect): a caller nobody is waiting on
 	// stops burning the corpus within one tile or hop. Both abort causes
 	// are counted; a deadline gets an honest 503 + Retry-After, a vanished
 	// client gets 499 for the logs.
-	corpus := snap.corpus
+	corpus := v.corpus
 	queryStart := time.Now()
 	var best []knn.Neighbor
+	var err error
 	served := "scan"
 	if useGraph {
-		kEff := min(k, epNodes)
-		if live != nil {
-			kEff = min(k, live.Live)
+		opts := knn.SearchOptions{Ctx: r.Context(), Seeds: querySeeds(ep, fp, epNodes), Exclude: v.excluded()}
+		var (
+			kEff   int
+			res    []knn.Neighbor
+			sstats knn.SearchStats
+			serr   error
+		)
+		if v.live != nil {
+			kEff = min(k, v.live.Live)
+			res, sstats, serr = v.live.Search(corpus.NewQueryScorer(fp), kEff, opts)
+		} else {
+			kEff = min(k, epNodes)
+			res, sstats, serr = knn.GraphSearch(ep.nav, corpus.NewQueryScorer(fp), kEff, opts)
 		}
-		// Tombstoned users must not appear in results: the search excludes
-		// nodes dead in the graph snapshot or deleted in the state snapshot
-		// (a lagging graph cannot know about later deletes). Excluded nodes
-		// are still traversed — a dead hub keeps bridging its region.
-		excl := func(v int32) bool {
-			if live != nil && live.Dead[v] {
-				return true
-			}
-			return int(v) < len(snap.deleted) && snap.deleted[v]
-		}
-		res, sstats, serr := knn.GraphSearch(nav, corpus.NewQueryScorer(fp), kEff,
-			knn.SearchOptions{Ctx: r.Context(), Seeds: querySeeds(ep, fp, epNodes), Exclude: excl})
 		if serr != nil {
 			s.queryAborted(w, serr)
 			return
@@ -1683,27 +1417,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if served != "graph" {
-		// Over-fetch by the tombstone count so dropping deleted users below
-		// still leaves k live results when they exist.
-		kScan := min(k+snap.dead, corpus.NumUsers())
-		best, err = knn.TopKRangeCtx(r.Context(), corpus.NumUsers(), kScan, 0, func(lo, hi int, out []float64) {
+		// Tombstoned rows score -1, below every live row, so the selection
+		// keeps k live users when they exist and costs the same however
+		// many tombstones have accumulated.
+		best, err = knn.TopKRangeCtx(r.Context(), corpus.NumUsers(), k, 0, func(lo, hi int, out []float64) {
 			corpus.JaccardQueryInto(fp, lo, hi, out)
+			if v.dead > 0 {
+				maskDeleted(v.deleted, lo, hi, out)
+			}
 		})
 		if err != nil {
 			s.queryAborted(w, err)
 			return
 		}
-		if snap.dead > 0 {
-			kept := best[:0]
-			for _, b := range best {
-				if !snap.deleted[b.ID] {
-					kept = append(kept, b)
-				}
-			}
-			best = kept
-		}
-		if len(best) > k {
-			best = best[:k]
+		for len(best) > 0 && best[len(best)-1].Sim < 0 {
+			best = best[:len(best)-1] // fewer than k live users
 		}
 		s.obs.Counter(metricQueryScan).Inc()
 		s.obs.Histogram(metricQueryScanSecs, obs.DefWaitBuckets).ObserveSince(queryStart)
@@ -1712,7 +1440,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderQueryMode, served)
 	out := make([]NeighborJSON, 0, len(best))
 	for _, b := range best {
-		out = append(out, NeighborJSON{User: snap.users[b.ID], Similarity: b.Sim})
+		out = append(out, NeighborJSON{User: v.users.At(int(b.ID)), Similarity: b.Sim})
 	}
 	// TopK breaks ties by dense index (registration order); the response
 	// contract orders equal similarities by external user id.
@@ -1723,6 +1451,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return out[i].User < out[j].User
 	})
 	writeJSON(w, http.StatusOK, out)
+}
+
+// maskDeleted overwrites out[i-lo] with -1 for every tombstoned user i in
+// [lo, hi), walking the flags a page at a time.
+func maskDeleted(deleted cow.View[bool], lo, hi int, out []float64) {
+	pages := deleted.Pages()
+	for i := lo; i < hi; {
+		off := i & (1<<tableShift - 1)
+		end := min(hi, i-off+1<<tableShift)
+		for j, dead := range pages[i>>tableShift][off : off+end-i] {
+			if dead {
+				out[i-lo+j] = -1
+			}
+		}
+		i = end
+	}
 }
 
 // clusterQuerySeeds is the number of bucket-derived entry points a
@@ -1763,13 +1507,6 @@ func (s *Server) queryAborted(w http.ResponseWriter, err error) {
 	}
 	s.obs.Counter(metricQueryCanceled).Inc()
 	httpError(w, statusClientClosedRequest, "query canceled by client")
-}
-
-// fpEqual reports whether two uploaded fingerprints carry identical bit
-// arrays — the build-publish drain uses it to detect overwrites that
-// landed while the build ran.
-func fpEqual(a, b core.Fingerprint) bool {
-	return a.Bits().Equal(b.Bits())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

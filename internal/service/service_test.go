@@ -409,11 +409,11 @@ func TestReuploadReplacesAndStaysLive(t *testing.T) {
 	}
 }
 
-// TestPackedSnapshotCachingAndInvalidation: successive snapshots without an
-// intervening upload must return the same immutable packed corpus, and any
-// upload (new user or replacement) must invalidate the cache so the next
-// snapshot reflects the new fingerprints.
-func TestPackedSnapshotCachingAndInvalidation(t *testing.T) {
+// TestViewSharedUntilMutation: loads without an intervening mutation return
+// the same immutable view, and any upload (new user or replacement)
+// publishes a successor that reflects the new fingerprints while the old
+// view keeps its rows.
+func TestViewSharedUntilMutation(t *testing.T) {
 	srv, err := NewServer(1024)
 	if err != nil {
 		t.Fatal(err)
@@ -425,34 +425,28 @@ func TestPackedSnapshotCachingAndInvalidation(t *testing.T) {
 	putFingerprint(t, ts, scheme, "a", profile.New(1, 2, 3)).Body.Close()
 	putFingerprint(t, ts, scheme, "b", profile.New(100, 200)).Body.Close()
 
-	c1, err := srv.packedSnapshot()
-	if err != nil {
-		t.Fatal(err)
+	v1 := srv.view.Load()
+	if v1.corpus.NumUsers() != 2 || v1.users.Len() != 2 {
+		t.Fatalf("view has %d rows, %d users, want 2", v1.corpus.NumUsers(), v1.users.Len())
 	}
-	if c1.corpus.NumUsers() != 2 || len(c1.users) != 2 {
-		t.Fatalf("snapshot has %d users, want 2", c1.corpus.NumUsers())
-	}
-	c2, err := srv.packedSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Error("back-to-back snapshots repacked instead of reusing the cache")
+	if v2 := srv.view.Load(); v1 != v2 {
+		t.Error("back-to-back loads returned different views")
 	}
 
-	// Replacing a's fingerprint bumps mutSeq; the stale cache must not be
-	// served, and the fresh corpus must hold the new bits at a's index.
+	// Replacing a's fingerprint publishes a new view holding the new bits
+	// at a's index; the old view still holds the old ones.
 	putFingerprint(t, ts, scheme, "a", profile.New(7, 8, 9)).Body.Close()
-	c3, err := srv.packedSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c3 == c1 {
-		t.Fatal("snapshot after re-upload reused the stale cache")
+	v3 := srv.view.Load()
+	if v3 == v1 {
+		t.Fatal("view after re-upload is the pre-upload view")
 	}
 	want := scheme.Fingerprint(profile.New(7, 8, 9))
-	if got := core.Jaccard(want, c3.corpus.Fingerprint(0)); got != 1 {
-		t.Errorf("repacked corpus row 0 has Jaccard %v vs the re-uploaded fingerprint, want 1", got)
+	if got := core.Jaccard(want, v3.corpus.Fingerprint(0)); got != 1 {
+		t.Errorf("new view row 0 has Jaccard %v vs the re-uploaded fingerprint, want 1", got)
+	}
+	old := scheme.Fingerprint(profile.New(1, 2, 3))
+	if got := core.Jaccard(old, v1.corpus.Fingerprint(0)); got != 1 {
+		t.Errorf("old view row 0 changed under its reader: Jaccard %v vs the original, want 1", got)
 	}
 }
 
