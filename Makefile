@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race racecheck parity crashcheck loadcheck shardcheck onlinecheck clustercheck clustershort cover bench benchsmoke benchjson benchquery benchcluster experiments fuzz fuzzshort clean
+.PHONY: all build check test race racecheck parity perfsmoke perf crashcheck loadcheck shardcheck onlinecheck clustercheck clustershort cover bench benchsmoke benchjson benchquery benchcluster experiments fuzz fuzzshort clean
 
 all: build test
 
@@ -11,9 +11,10 @@ build:
 
 # Static analysis, the full race-enabled suite, the crash-recovery
 # fault-injection suite, the overload/load-shedding suite, a short fuzz
-# burst over every fuzz target, and a one-iteration benchmark smoke so
-# the perf-critical kernel benches can never rot unnoticed.
-check: benchsmoke benchquery benchcluster racecheck crashcheck loadcheck shardcheck onlinecheck clustershort fuzzshort
+# burst over every fuzz target, a one-iteration benchmark smoke so the
+# perf-critical kernel benches can never rot unnoticed, and the repo's
+# benchmark (bench/, its own module, invisible to ./...) at smoke scale.
+check: benchsmoke benchquery benchcluster perfsmoke racecheck crashcheck loadcheck shardcheck onlinecheck clustershort fuzzshort
 	$(GO) vet ./...
 
 test: check
@@ -27,12 +28,29 @@ race: racecheck
 racecheck: parity
 	$(GO) test -race -shuffle=on ./...
 
-# The scan-vs-graph parity floor on its own: graph-navigated /query must
-# hold recall@10 >= 0.9 against the exact scan at n=10k (also part of the
-# ./... sweep above; kept addressable so a search change can be checked
-# in isolation).
+# The search loop's contract on its own, so a search change can be checked
+# in isolation (all of it is also part of the ./... sweep above): graph-
+# navigated /query holds recall@10 >= 0.9 against the exact scan at n=10k;
+# the batched, selection-seeded search equals its slice-based reference on
+# tie-heavy random graphs; the batch path equals the per-node path at
+# n=10k and the scorer's batch method equals Score bit for bit on a paged
+# corpus; the spread seeds equal their closed form; a steady-state search
+# allocates its result only; and one pooled scratch reused across graphs
+# of different sizes never reports a stale visit (under -race).
 parity:
-	$(GO) test -count=1 -run 'GraphScanParity' ./internal/knn
+	$(GO) test -count=1 -run 'GraphScanParity|GraphSearchMatchesReference|GraphSearchBatchEqualsPerNode|GraphSearchPooledScratch|SpreadSeedsClosedForm|SeedsMatchMapDedup|PackedHistory' ./internal/knn ./internal/cluster ./internal/core
+	$(GO) test -race -count=1 -run 'GraphSearchScratchReuse' ./internal/knn
+
+# bench/ is its own module, so tier-1 (`go build ./... && go test ./...`)
+# cannot see it: a signature change in knn, core or cluster would break the
+# benchmark silently. This vets it and runs every workload at n=2000.
+perfsmoke:
+	cd bench && $(GO) vet . && $(GO) run . -smoke
+
+# The benchmark proper: every BENCHMARK.json workload twice at n=100k,
+# failing when the two sets disagree beyond a metric's bound.
+perf:
+	cd bench && $(GO) run . -sets 2
 
 # The durability suite under the race detector: fault-injection crash
 # sweeps (FaultCrash at every mutating filesystem op), torn-tail recovery,

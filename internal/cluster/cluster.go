@@ -21,6 +21,7 @@ import (
 	"context"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -172,8 +173,9 @@ func (a *Assignment) Seeds(row []uint64, max int) []int32 {
 	if max <= 0 || len(a.Views) == 0 {
 		return nil
 	}
+	// Deduplicated by scanning out: at most max (a few dozen) ids, where a
+	// map cost an allocation per query.
 	out := make([]int32, 0, max)
-	seen := make(map[int32]bool, max)
 	perView := (max + len(a.Views) - 1) / len(a.Views)
 	for vi := range a.Views {
 		v := &a.Views[vi]
@@ -193,8 +195,7 @@ func (a *Assignment) Seeds(row []uint64, max int) []int32 {
 				}
 				advanced = true
 				id := members[rank]
-				if !seen[id] {
-					seen[id] = true
+				if !slices.Contains(out, id) {
 					out = append(out, id)
 					took++
 					if took >= perView || len(out) >= max {

@@ -233,3 +233,77 @@ func TestKeyMatchesAssignment(t *testing.T) {
 		}
 	}
 }
+
+// seedsWithMap is Seeds as it was written before the dedup became a scan
+// of the output: the same walk, membership kept in a map. It also returns
+// how many ids the dedup dropped.
+func seedsWithMap(a *Assignment, row []uint64, max int) (out []int32, dropped int) {
+	if max <= 0 || len(a.Views) == 0 {
+		return nil, 0
+	}
+	out = make([]int32, 0, max)
+	seen := make(map[int32]bool, max)
+	perView := (max + len(a.Views) - 1) / len(a.Views)
+	for vi := range a.Views {
+		v := &a.Views[vi]
+		key := v.Key(row)
+		if key < 0 || key >= len(v.ClustersOfKey) {
+			continue
+		}
+		took := 0
+		for rank := 0; took < perView; rank++ {
+			advanced := false
+			for _, ci := range v.ClustersOfKey[key] {
+				members := v.Clusters[ci]
+				if rank >= len(members) {
+					continue
+				}
+				advanced = true
+				id := members[rank]
+				if seen[id] {
+					dropped++
+				} else {
+					seen[id] = true
+					out = append(out, id)
+					took++
+					if took >= perView || len(out) >= max {
+						break
+					}
+				}
+			}
+			if !advanced || len(out) >= max {
+				break
+			}
+		}
+		if len(out) >= max {
+			break
+		}
+	}
+	return out, dropped
+}
+
+// TestSeedsMatchMapDedup pins the allocation-free dedup of Seeds to the
+// map version it replaced, on an assignment whose buckets split (so the
+// round-robin crosses clusters) and whose views overlap (so ids repeat
+// across views), for member rows, foreign rows and the empty row.
+func TestSeedsMatchMapDedup(t *testing.T) {
+	src := randomSource(3000, 256, 0.1, 21)
+	a := Assign(src, Config{MaxSize: 32, Buckets: 16, Seed: 22})
+	rows := append(randomSource(200, 256, 0.1, 23).rows, make([]uint64, 4))
+	for u := 0; u < src.NumUsers(); u += 7 {
+		rows = append(rows, src.Row(u))
+	}
+	dropped := 0
+	for _, row := range rows {
+		for _, max := range []int{1, 5, 48, 200} {
+			want, d := seedsWithMap(a, row, max)
+			if got := a.Seeds(row, max); !reflect.DeepEqual(got, want) {
+				t.Fatalf("max=%d: Seeds %v, map version %v", max, got, want)
+			}
+			dropped += d
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no id repeated across views; the fixture does not exercise the dedup")
+	}
+}

@@ -328,16 +328,20 @@ func (c *PackedCorpus) JaccardRangeInto(u, lo, hi int, out []float64) {
 // gather kernel (bitset.AndCountGather) in tile-sized chunks so the
 // intersection scratch stays on the stack.
 func (c *PackedCorpus) JaccardGatherInto(u int, ids []int32, out []float64) {
+	jaccardGather(c.Row(u), int(c.card(u)), c.rows.Pages(), c.cards.Pages(), c.stride, ids, out)
+}
+
+// jaccardGather estimates Ĵ(query, ids[i]) into out[i] over a corpus's
+// page tables, for a query row of cardinality qcard.
+func jaccardGather(query []uint64, qcard int, rows [][]uint64, cards [][]int32, stride int, ids []int32, out []float64) {
 	var inter [packTile]int32
-	row, cu := c.Row(u), int(c.card(u))
-	pages, cards := c.rows.Pages(), c.cards.Pages()
+	out = out[:len(ids)]
 	for start := 0; start < len(ids); start += packTile {
-		end := min(start+packTile, len(ids))
-		chunk := ids[start:end]
-		bitset.AndCountGatherPaged(row, pages, pageShift, c.stride, chunk, inter[:len(chunk)])
+		chunk := ids[start:min(start+packTile, len(ids))]
+		bitset.AndCountGatherPaged(query, rows, pageShift, stride, chunk, inter[:len(chunk)])
 		for j, id := range chunk {
 			in := int(inter[j])
-			union := cu + int(cards[id>>pageShift][id&pageMask]) - in
+			union := qcard + int(cards[id>>pageShift][id&pageMask]) - in
 			if union <= 0 {
 				out[start+j] = 0
 			} else {
@@ -418,6 +422,16 @@ func (s *QueryScorer) Score(v int32) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
+}
+
+// ScoreBatch writes Ĵ(query, ids[i]) into sims[i] for a scattered id list,
+// bit for bit what Score returns for each id, through the gather kernel
+// that hoists the query words across the whole list. It is the batch path
+// of the graph-navigated search, which collects a seed batch's or a hop's
+// unvisited ids before scoring any; nothing is abandoned here, and
+// len(sims) must be at least len(ids).
+func (s *QueryScorer) ScoreBatch(ids []int32, sims []float64) {
+	jaccardGather(s.words, int(s.card), s.rows, s.cards, s.stride, ids, sims)
 }
 
 // ScoreAbove returns Ĵ(query, v) when it might reach floor. ok=false means

@@ -262,10 +262,11 @@ func FuzzPackedJaccard(f *testing.F) {
 // persistent corpus: after a seeded random history of Append and WithRow —
 // long enough to cross page boundaries and to rewrite rows of full, partial
 // and freshly appended pages — the corpus equals NewPackedCorpus of the
-// current fingerprints row for row, its range, gather and early-abandon
-// kernels are bit-identical to per-pair core.Jaccard on the unpacked
-// fingerprints, every corpus kept along the way still holds the rows it was
-// published with, and ChangedRows names exactly the rows that differ.
+// current fingerprints row for row, its range, gather, batch and
+// early-abandon kernels are bit-identical to per-pair core.Jaccard on the
+// unpacked fingerprints, every corpus kept along the way still holds the
+// rows it was published with, and ChangedRows names exactly the rows that
+// differ.
 func TestPackedHistoryMatchesRepack(t *testing.T) {
 	for _, bits := range []int{100, 1024} {
 		rng := rand.New(rand.NewSource(int64(bits) + 13))
@@ -365,6 +366,15 @@ func TestPackedHistoryMatchesRepack(t *testing.T) {
 					t.Fatalf("bits=%d u=%d id=%d: gather %v, core %v", bits, u, id, out[i], want)
 				}
 			}
+			// The batch method of the search oracle is Score, bit for bit,
+			// over an id list longer than one tile (and over none).
+			scorer.ScoreBatch(ids, out[:len(ids)])
+			for i, id := range ids {
+				if want := scorer.Score(id); out[i] != want || want != Jaccard(q, fps[id]) {
+					t.Fatalf("bits=%d id=%d: ScoreBatch %v, Score %v", bits, id, out[i], want)
+				}
+			}
+			scorer.ScoreBatch(nil, nil)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package knn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -342,7 +342,7 @@ func (o *Online) connect(u int32) MutationResult {
 		nn := cloneWithout(o.navOf(v), u)
 		nn = append(nn, Neighbor{ID: u, Sim: nb.Sim})
 		if len(nn) > o.maxDeg+navSlack {
-			sort.Slice(nn, func(i, j int) bool { return ranksAbove(nn[i], nn[j]) })
+			slices.SortFunc(nn, compareRank)
 			nn, c = o.diversePrune(nn, o.maxDeg)
 			comparisons += c
 		}
@@ -365,7 +365,7 @@ func (o *Online) candidates(u int32) ([]Neighbor, int) {
 			cands = append(cands, Neighbor{ID: v, Sim: o.sim(u, v)})
 			comparisons++
 		}
-		sort.Slice(cands, func(i, j int) bool { return ranksAbove(cands[i], cands[j]) })
+		slices.SortFunc(cands, compareRank)
 		return cands, comparisons
 	}
 	oracle := OracleFunc(func(v int32) float64 { return o.sim(u, v) })
@@ -437,13 +437,13 @@ func (o *Online) repair(v int32, touched *touchSet) int {
 			add(nb.ID)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	cands := make([]Neighbor, 0, len(ids))
 	for _, w := range ids {
 		cands = append(cands, Neighbor{ID: w, Sim: o.sim(v, w)})
 	}
-	sort.Slice(cands, func(i, j int) bool { return ranksAbove(cands[i], cands[j]) })
+	slices.SortFunc(cands, compareRank)
 	kn := min(o.k, len(cands))
 	o.setAdj(v, append([]Neighbor(nil), cands[:kn]...))
 	touched.mark(v)
@@ -456,7 +456,7 @@ func (o *Online) repair(v int32, touched *touchSet) int {
 		}
 	}
 	if len(nn) > o.maxDeg+navSlack {
-		sort.Slice(nn, func(i, j int) bool { return ranksAbove(nn[i], nn[j]) })
+		slices.SortFunc(nn, compareRank)
 		nn, _ = o.diversePrune(nn, o.maxDeg)
 	}
 	o.setNav(v, nn)
@@ -500,7 +500,7 @@ func (o *Online) diversePrune(cands []Neighbor, cap int) ([]Neighbor, int) {
 		}
 		kept = append(kept, nb)
 	}
-	sort.Slice(kept, func(i, j int) bool { return ranksAbove(kept[i], kept[j]) })
+	slices.SortFunc(kept, compareRank)
 	return kept, comparisons
 }
 
@@ -602,7 +602,7 @@ func neighborIDs(a, b []Neighbor, self int32) []int32 {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -633,7 +633,7 @@ func (t *touchSet) emit(o *Online, first int32) []TouchedNode {
 			rest = append(rest, id)
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	slices.Sort(rest)
 	out := make([]TouchedNode, 0, len(rest)+1)
 	if first >= 0 && t.seen[first] {
 		out = append(out, TouchedNode{ID: first, Neighbors: o.adjOf(first)})

@@ -2,8 +2,12 @@ package knn
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"sort"
 	"testing"
 
 	"goldfinger/internal/core"
@@ -312,9 +316,9 @@ func TestGraphSearchCancellation(t *testing.T) {
 	}
 }
 
-// TestGraphSearchPooledScratch guards the sync.Pool: steady-state queries
-// must allocate O(k) (the returned slice and the sort), never O(n) visited
-// arrays or heaps.
+// TestGraphSearchPooledScratch guards the sync.Pool: a steady-state query
+// allocates the returned slice and nothing else — no O(n) visited set, no
+// heaps, no per-query closure — whichever options it is given.
 func TestGraphSearchPooledScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unmeasurable under -race: sync.Pool deliberately drops a fraction of Puts there to flush out lifetime bugs")
@@ -328,17 +332,323 @@ func TestGraphSearchPooledScratch(t *testing.T) {
 	// for the measurement so the guard sees the steady state.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Warm the pool so the first-use scratch growth is not measured.
-	if _, _, err := GraphSearch(g, scorer, 10, SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := GraphSearch(g, scorer, 10, SearchOptions{}); err != nil {
+	odd := func(v int32) bool { return v&1 == 1 }
+	for name, tc := range map[string]struct {
+		oracle SearchOracle
+		opts   SearchOptions
+	}{
+		"batch oracle, default seeds":   {scorer, SearchOptions{}},
+		"batch oracle, seeds + exclude": {scorer, SearchOptions{Seeds: DefaultSeeds([]int32{5, 5, -1}, 600), Exclude: odd}},
+		"per-node oracle":               {perNode{scorer}, SearchOptions{Exclude: odd}},
+	} {
+		// Warm the pool so the first-use scratch growth is not measured.
+		if _, _, err := GraphSearch(g, tc.oracle, 10, tc.opts); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 8 {
-		t.Errorf("GraphSearch allocates %.1f objects per query; scratch is not being pooled", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := GraphSearch(g, tc.oracle, 10, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: GraphSearch allocates %.1f objects per query, want the result slice only", name, allocs)
+		}
+	}
+}
+
+// perNode hides an oracle's batch method: the search must then score node
+// by node through ScoreAbove, early-abandon proofs included.
+type perNode struct{ SearchOracle }
+
+// referenceSearch is the specified semantics of graphSearch on plain
+// sorted slices and a map — no heaps, no batches, no selection: score
+// every distinct in-range seed; the beam is the ef best non-excluded ones
+// and the candidates are the seeds not ranking below the beam's floor
+// (all of them while the beam is short); then expand candidates best
+// first, offering each unvisited neighbor in list order, until the best
+// candidate's similarity is below the floor's. It returns the result, the
+// hops and the nodes scored.
+func referenceSearch(nbrs [][]Neighbor, sim func(int32) float64, k int, opts SearchOptions) ([]Neighbor, int, int) {
+	n := len(nbrs)
+	if n == 0 || k <= 0 {
+		return nil, 0, 0
+	}
+	k = min(k, n)
+	ef := opts.Ef
+	if ef <= 0 {
+		ef = max(64, 16*k)
+	}
+	ef = min(max(ef, k), n)
+	dead := func(v int32) bool { return opts.Exclude != nil && opts.Exclude(v) }
+	insert := func(s []Neighbor, e Neighbor) []Neighbor {
+		return slices.Insert(s, sort.Search(len(s), func(i int) bool { return ranksAbove(e, s[i]) }), e)
+	}
+	seeds := opts.Seeds
+	if len(seeds) == 0 {
+		seeds = appendSpreadSeeds(nil, n, opts.NumSeeds)
+	}
+	visited := map[int32]bool{}
+	var beam, cand []Neighbor // both sorted best first
+	offer := func(v int32, seed bool) {
+		if v < 0 || int(v) >= n || visited[v] {
+			return
+		}
+		visited[v] = true
+		e := Neighbor{ID: v, Sim: sim(v)}
+		if !seed && len(beam) == ef && !ranksAbove(e, beam[ef-1]) {
+			return
+		}
+		if cand = insert(cand, e); !dead(v) {
+			beam = insert(beam, e)
+		}
+	}
+	for _, v := range seeds {
+		offer(v, true)
+	}
+	if len(beam) >= ef {
+		beam = beam[:ef]
+		cand = slices.DeleteFunc(cand, func(e Neighbor) bool { return ranksAbove(beam[ef-1], e) })
+	}
+	hops := 0
+	for ; len(cand) > 0 && !(len(beam) == ef && cand[0].Sim < beam[ef-1].Sim); hops++ {
+		c := cand[0]
+		cand = cand[1:]
+		for _, nb := range nbrs[c.ID] {
+			offer(nb.ID, false)
+			beam = beam[:min(len(beam), ef)]
+		}
+	}
+	return slices.Clone(beam[:min(k, len(beam))]), hops, len(visited)
+}
+
+// tableOracle scores from a table, with the early-abandon contract at its
+// loosest: every similarity below the floor is refused.
+type tableOracle []float64
+
+func (o tableOracle) Score(v int32) float64 { return o[v] }
+func (o tableOracle) ScoreAbove(v int32, floor float64) (float64, bool) {
+	return o[v], floor <= 0 || o[v] >= floor
+}
+
+// batchTableOracle is tableOracle with the batch method.
+type batchTableOracle struct{ tableOracle }
+
+func (o batchTableOracle) ScoreBatch(ids []int32, sims []float64) {
+	for i, v := range ids {
+		sims[i] = o.tableOracle[v]
+	}
+}
+
+// randomSearchCase draws a graph with heavy similarity ties, isolated
+// nodes, duplicate and out-of-range edges, and options covering duplicate,
+// negative and out-of-range seeds, Exclude, ef >= n and k > n.
+func randomSearchCase(rng *rand.Rand, n int) ([][]Neighbor, tableOracle, int, SearchOptions) {
+	nbrs := make([][]Neighbor, n)
+	sims := make(tableOracle, n)
+	levels := 1 + rng.Intn(5)
+	for v := range nbrs {
+		sims[v] = float64(rng.Intn(levels)) / 4
+		if rng.Intn(5) == 0 {
+			continue // isolated
+		}
+		for d := rng.Intn(2 + n/4); d > 0; d-- {
+			nbrs[v] = append(nbrs[v], Neighbor{ID: int32(rng.Intn(n+2) - 1)})
+		}
+	}
+	var opts SearchOptions
+	switch rng.Intn(3) {
+	case 0:
+		opts.NumSeeds = rng.Intn(n + 2)
+	case 1:
+		for s := rng.Intn(2*n + 600); s > 0; s-- {
+			opts.Seeds = append(opts.Seeds, int32(rng.Intn(n+4)-2))
+		}
+	}
+	if rng.Intn(2) == 0 {
+		mod := int32(1 + rng.Intn(4))
+		opts.Exclude = func(v int32) bool { return v%mod == 0 }
+	}
+	opts.Ef = []int{0, 1, 1 + rng.Intn(n+1), n, n + 7}[rng.Intn(5)]
+	return nbrs, sims, 1 + rng.Intn(n+3), opts
+}
+
+// TestGraphSearchMatchesReference is the differential test of the search
+// loop: on random graphs built to tie, the batched, selection-seeded,
+// heap-based search returns exactly what referenceSearch does — result,
+// hops and rows scored — through a batch oracle, a per-node oracle that
+// never abandons and one that abandons whenever it may. The last pins that
+// a refused row was one the beam would have rejected anyway.
+func TestGraphSearchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(40)
+		if trial%10 == 0 {
+			n = 300 + rng.Intn(300) // more seeds than one batch holds
+		}
+		nbrs, sims, k, opts := randomSearchCase(rng, n)
+		g := &Graph{K: k, Neighbors: nbrs}
+		want, hops, scored := referenceSearch(nbrs, sims.Score, k, opts)
+		for name, oracle := range map[string]SearchOracle{
+			"batch": batchTableOracle{sims}, "exact": OracleFunc(sims.Score), "abandoning": sims,
+		} {
+			got, stats, err := GraphSearch(g, oracle, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) || stats.Hops != hops || stats.Scored+stats.Abandoned != scored {
+				t.Fatalf("trial %d (n=%d k=%d ef=%d seeds=%d/%d exclude=%v) %s oracle:\n got %v %+v\nwant %v hops=%d scored=%d",
+					trial, n, k, opts.Ef, len(opts.Seeds), opts.NumSeeds, opts.Exclude != nil, name, got, stats, want, hops, scored)
+			}
+			if name != "abandoning" && stats.Abandoned != 0 {
+				t.Fatalf("trial %d: %s oracle reported %d abandoned rows", trial, name, stats.Abandoned)
+			}
+		}
+	}
+}
+
+// TestGraphSearchBatchEqualsPerNode: at n=10k, searching with the packed
+// scorer (batch path) and with the same scorer behind OracleFunc or behind
+// its two-method interface (per-node path, exact and early-abandoning)
+// returns identical lists and expands the same nodes.
+func TestGraphSearchBatchEqualsPerNode(t *testing.T) {
+	const n, k, queries = 10000, 10, 20
+	profiles := clusteredProfiles(n, queries, 31)
+	scheme := core.MustScheme(1024, 31)
+	corpus := scheme.PackProfiles(profiles[:n], 0)
+	provider := NewPackedSHFProvider(corpus)
+	built, _ := ClusterConquer(provider, k, Options{Seed: 31})
+	g := built.Navigable(provider)
+	abandoned := 0
+	for i := 0; i < queries; i++ {
+		scorer := corpus.NewQueryScorer(scheme.Fingerprint(profiles[n+i]))
+		opts := SearchOptions{Exclude: func(v int32) bool { return v%7 == 3 }}
+		want, wstats, _ := GraphSearch(g, scorer, k, opts)
+		if len(want) != k || wstats.Abandoned != 0 {
+			t.Fatalf("query %d: batch path returned %d results, stats %+v", i, len(want), wstats)
+		}
+		for name, oracle := range map[string]SearchOracle{"OracleFunc": OracleFunc(scorer.Score), "ScoreAbove": perNode{scorer}} {
+			got, stats, _ := GraphSearch(g, oracle, k, opts)
+			if !slices.Equal(got, want) || stats.Hops != wstats.Hops || stats.Scored+stats.Abandoned != wstats.Scored {
+				t.Fatalf("query %d via %s: %v %+v, batch path %v %+v", i, name, got, stats, want, wstats)
+			}
+			abandoned += stats.Abandoned
+		}
+	}
+	if abandoned == 0 {
+		t.Error("the per-node path never abandoned a row; the fixture does not exercise ScoreAbove's proofs")
+	}
+}
+
+// ringGraph is an n-node graph whose node v points at v±1, v±2 and one
+// far node, with a tie-heavy similarity peaking at node peak.
+func ringGraph(n, peak int) (*Graph, tableOracle) {
+	g := &Graph{K: 4, Neighbors: make([][]Neighbor, n)}
+	sims := make(tableOracle, n)
+	for v := range sims {
+		for _, d := range []int{1, n - 1, 2, n - 2, n / 3} {
+			g.Neighbors[v] = append(g.Neighbors[v], Neighbor{ID: int32((v + d) % n)})
+		}
+		d := min((v-peak+n)%n, (peak-v+n)%n)
+		sims[v] = math.Round(64/(1+float64(d)/16)) / 64
+	}
+	return g, sims
+}
+
+// TestGraphSearchScratchReuse: the visited bitmap is cleared for exactly
+// the graph being searched, so one pooled state used over a large graph, a
+// small one and the large one again — and over an online graph that grows
+// between searches — never reports a visit left by an earlier query. Runs
+// under -race in `make parity` and `make racecheck`.
+func TestGraphSearchScratchReuse(t *testing.T) {
+	st := new(searchState)
+	for _, n := range []int{50000, 500, 50000, 50001, 70000} {
+		st.reset(n)
+		for v := int32(0); int(v) < n; v++ {
+			if st.visit(v) {
+				t.Fatalf("n=%d: node %d reads visited after reset", n, v)
+			}
+			if !st.visit(v) {
+				t.Fatalf("n=%d: node %d reads unvisited after visit", n, v)
+			}
+		}
+	}
+
+	// The same through GraphSearch and the pool, against the reference.
+	for round, n := range []int{50000, 500, 50000, 501, 50000} {
+		g, sims := ringGraph(n, (round*7919)%n)
+		want, hops, scored := referenceSearch(g.Neighbors, sims.Score, 10, SearchOptions{})
+		got, stats, _ := GraphSearch(g, batchTableOracle{sims}, 10, SearchOptions{})
+		if !slices.Equal(got, want) || stats.Hops != hops || stats.Scored != scored {
+			t.Fatalf("round %d (n=%d): %v %+v, reference %v hops=%d scored=%d", round, n, got, stats, want, hops, scored)
+		}
+	}
+
+	// An online graph gaining a node per insert: every search between
+	// inserts equals the reference over the same published adjacency.
+	fps := onlineFixture(t, 0.05, 5)
+	const k = 6
+	o := newEmptyOnline(t, k)
+	for i, fp := range fps {
+		o.Insert(fp)
+		if i < 2*onlineMaxDegree(k) || i%3 != 0 {
+			continue
+		}
+		s := o.Snapshot()
+		q := fps[(i*31)%len(fps)]
+		sim := func(v int32) float64 { return core.Jaccard(q, fps[v]) }
+		want, hops, _ := referenceSearch(s.Nav().Neighbors, sim, k, SearchOptions{})
+		got, stats, _ := s.Search(OracleFunc(sim), k, SearchOptions{})
+		if !slices.Equal(got, want) || stats.Hops != hops {
+			t.Fatalf("after insert %d: %v hops=%d, reference %v hops=%d", i, got, stats.Hops, want, hops)
+		}
+	}
+}
+
+// TestSpreadSeedsClosedForm pins the division-free spread to its closed
+// form i·(n-1)/(ns-1): for every n up to 5 000 at the default count and two
+// explicit ones, and at sizes where the product i·(n-1) approaches or
+// passes 2⁶³ in the sizes it would be computed at — there is no product
+// to overflow.
+func TestSpreadSeedsClosedForm(t *testing.T) {
+	check := func(n, ns int) {
+		t.Helper()
+		got := appendSpreadSeeds([]int32{-7}, n, ns)
+		if got[0] != -7 {
+			t.Fatalf("n=%d ns=%d: dst prefix overwritten", n, ns)
+		}
+		got = got[1:]
+		want := ns
+		if want <= 0 {
+			want = max(8, n/64)
+		}
+		want = min(want, n)
+		if len(got) != want {
+			t.Fatalf("n=%d ns=%d: %d seeds, want %d", n, ns, len(got), want)
+		}
+		for i, id := range got {
+			closed := int64(0)
+			if want > 1 {
+				closed = int64(i) * int64(n-1) / int64(want-1)
+			}
+			if int64(id) != closed {
+				t.Fatalf("n=%d ns=%d: seed %d is %d, closed form %d", n, ns, i, id, closed)
+			}
+		}
+	}
+	for n := 0; n <= 5000; n++ {
+		check(n, 0)
+		check(n, 1+n/3)
+		check(n, n+5)
+	}
+	for _, n := range []int{100000, 1000000} {
+		check(n, 0)
+		check(n, n)
+	}
+	for _, ns := range []int{1, 2, 8, 1000, 65537, 1 << 20} {
+		check(math.MaxInt32, ns)
+	}
+	if got := DefaultSeeds([]int32{3, 4}, 1000); len(got) != 2+15 || got[2] != 0 || got[16] != 999 {
+		t.Fatalf("DefaultSeeds(…, 1000) = %v", got)
 	}
 }
 

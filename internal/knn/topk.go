@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"cmp"
 	"context"
 	"sort"
 	"sync"
@@ -17,6 +18,14 @@ func ranksBelow(a, b Neighbor) bool {
 		return a.Sim < b.Sim
 	}
 	return a.ID > b.ID
+}
+
+// compareRank is the same order as a slices.SortFunc comparison: best first.
+func compareRank(a, b Neighbor) int {
+	if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // TopK returns the (at most) k candidates among 0..n-1 with the highest

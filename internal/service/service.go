@@ -994,7 +994,11 @@ const (
 	// Per-mode query observability: how many queries each mode served,
 	// how often the graph path fell back to a scan (short result: isolated
 	// or unreachable nodes), per-mode latency histograms, and gauges of
-	// the last graph search's depth and oracle work.
+	// the last graph search's depth and oracle work. query.graph.scored
+	// counts every row the search scored; query.graph.abandoned counts
+	// only proofs returned by a per-node oracle (knn.SearchStats), and the
+	// handler's core.QueryScorer is scored in batches that abandon
+	// nothing, so it reads 0 here.
 	metricQueryScan      = "query.mode.scan.total"
 	metricQueryGraph     = "query.mode.graph.total"
 	metricQueryFallback  = "query.graph.fallback.total"
