@@ -35,11 +35,14 @@ racecheck: parity
 # tie-heavy random graphs; the batch path equals the per-node path at
 # n=10k and the scorer's batch method equals Score bit for bit on a paged
 # corpus; the spread seeds equal their closed form; a steady-state search
-# allocates its result only; and one pooled scratch reused across graphs
-# of different sizes never reports a stale visit (under -race).
+# allocates its result only; one pooled scratch reused across graphs of
+# different sizes never reports a stale visit; and the parallel Navigable
+# equals its sequential reference entry by entry, on tie-heavy random
+# graphs and a 10k cluster-built graph, at GOMAXPROCS 1, 2 and 8 (these
+# last two under -race).
 parity:
 	$(GO) test -count=1 -run 'GraphScanParity|GraphSearchMatchesReference|GraphSearchBatchEqualsPerNode|GraphSearchPooledScratch|SpreadSeedsClosedForm|SeedsMatchMapDedup|PackedHistory' ./internal/knn ./internal/cluster ./internal/core
-	$(GO) test -race -count=1 -run 'GraphSearchScratchReuse' ./internal/knn
+	$(GO) test -race -count=1 -run 'GraphSearchScratchReuse|NavigableMatchesReference' ./internal/knn
 
 # bench/ is its own module, so tier-1 (`go build ./... && go test ./...`)
 # cannot see it: a signature change in knn, core or cluster would break the
@@ -165,6 +168,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadFingerprintSet -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzParseMovieLens -fuzztime=30s ./internal/dataset
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/durable
+	$(GO) test -fuzz=FuzzDecodeEpoch -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzMergeTopK -fuzztime=30s ./internal/router
 
@@ -176,6 +180,7 @@ fuzzshort:
 	$(GO) test -fuzz=FuzzReadFingerprintSet -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzParseMovieLens -fuzztime=10s ./internal/dataset
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/durable
+	$(GO) test -fuzz=FuzzDecodeEpoch -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzMergeTopK -fuzztime=10s ./internal/router
 

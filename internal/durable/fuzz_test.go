@@ -2,7 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
+	"time"
 
 	"goldfinger/internal/knn"
 )
@@ -62,6 +65,89 @@ func FuzzWALReplay(f *testing.F) {
 		if !bytes.Equal(re, data[:goodLen]) {
 			t.Fatalf("re-encoding %d accepted records (%d bytes) != accepted prefix (%d bytes)",
 				len(recs), len(re), goodLen)
+		}
+	})
+}
+
+// FuzzDecodeEpoch hammers decodeEpoch, which every warm restart trusts with
+// the persisted graph. The fuzzer mutates the payload, and the input is
+// sealed around it (magic plus a correct CRC) so that mutations reach the
+// structure instead of dying at the checksum. Invariants:
+//
+//   - never panics;
+//   - an accepted epoch is servable: users, tombstones and adjacency in
+//     lock step, every neighbour index in range;
+//   - an accepted epoch re-encodes byte for byte, up to the two rewrites
+//     encodeEpoch always makes: a v1 snapshot comes back as v2 with an
+//     all-live tombstone bitmap, and the bitmap's unused high bits as zero.
+func FuzzDecodeEpoch(f *testing.F) {
+	const n = 6
+	ep := EpochData{
+		Seq: 3, K: 2, Algorithm: "cluster", BuiltAt: time.Unix(1700000000, 12345),
+		Duration: 1500 * time.Millisecond, Stats: knn.Stats{Comparisons: 4242, Iterations: 3, Updates: 99},
+		MutSeq: 17, Users: make([]string, n), Graph: &knn.Graph{K: 2, Neighbors: make([][]knn.Neighbor, n)},
+		Dead: make([]bool, n),
+	}
+	for i := range n {
+		ep.Users[i] = fmt.Sprintf("u%d", i)
+		ep.Dead[i] = i%4 == 1
+		for j := range i % 3 {
+			ep.Graph.Neighbors[i] = append(ep.Graph.Neighbors[i], knn.Neighbor{ID: int32((i + j + 1) % n), Sim: 1 / float64(j+2)})
+		}
+	}
+	data, err := encodeEpoch(ep)
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload := data[4 : len(data)-4]
+	v1 := payload[:len(payload)-4-(n+7)/8] // the same epoch without its bitmap
+	f.Add(false, payload)
+	f.Add(true, v1)
+	f.Add(false, []byte{})
+	for _, cut := range []int{1, 5, 12, 40, len(payload) / 2, len(payload) - 3} {
+		f.Add(false, payload[:len(payload)-cut])
+	}
+	// Bit flips sweeping the header, the user table, counts, ids and sims,
+	// and the bitmap's pad bits.
+	for i := 0; i < len(payload); i += 7 {
+		mut := bytes.Clone(payload)
+		mut[i] ^= 0x81
+		f.Add(false, mut)
+	}
+
+	f.Fuzz(func(t *testing.T, v1 bool, payload []byte) {
+		magic := epochMagic
+		if v1 {
+			magic = epochMagicV1
+		}
+		ep, err := decodeEpoch(sealSnapshot(magic, payload))
+		if err != nil {
+			return
+		}
+		n := len(ep.Users)
+		if len(ep.Graph.Neighbors) != n || len(ep.Dead) != n || ep.Graph.K != ep.K {
+			t.Fatalf("epoch out of lock step: %d users, %d lists, %d dead flags", n, len(ep.Graph.Neighbors), len(ep.Dead))
+		}
+		for u, nbrs := range ep.Graph.Neighbors {
+			for _, nb := range nbrs {
+				if nb.ID < 0 || int(nb.ID) >= n {
+					t.Fatalf("node %d has neighbour %d outside [0,%d)", u, nb.ID, n)
+				}
+			}
+		}
+		want := bytes.Clone(payload)
+		if v1 {
+			want = binary.LittleEndian.AppendUint32(want, uint32(n))
+			want = append(want, make([]byte, (n+7)/8)...)
+		} else if n%8 != 0 {
+			want[len(want)-1] &= 1<<(n%8) - 1
+		}
+		re, err := encodeEpoch(ep)
+		if err != nil {
+			t.Fatalf("accepted epoch does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, sealSnapshot(epochMagic, want)) {
+			t.Fatalf("re-encoding an accepted epoch changed its bytes (%d in, %d out)", len(want)+8, len(re))
 		}
 	})
 }

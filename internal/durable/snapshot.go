@@ -324,32 +324,36 @@ func decodeEpoch(data []byte) (EpochData, error) {
 	if int(n) != len(ep.Users) {
 		return EpochData{}, fmt.Errorf("durable: epoch graph has %d nodes but %d users", n, len(ep.Users))
 	}
+	// The adjacency is nearly all of the payload, so it is decoded straight
+	// from the slice rather than a field at a time through the reader. A
+	// neighborhood's size is checked against the bytes left before any of
+	// it is read, so only its count can run short.
+	b := payload[len(payload)-r.Len():]
 	g := &knn.Graph{K: ep.K, Neighbors: make([][]knn.Neighbor, n)}
 	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
+		if len(b) < 4 {
+			err := io.ErrUnexpectedEOF // what io.ReadFull reports
+			if len(b) == 0 {
+				err = io.EOF
+			}
 			return EpochData{}, fmt.Errorf("durable: reading neighborhood %d: %w", i, err)
 		}
-		m := binary.LittleEndian.Uint32(u32[:])
-		if m > maxSnapshotNeighbors || int64(m)*12 > int64(r.Len()) {
+		m := binary.LittleEndian.Uint32(b)
+		if b = b[4:]; m > maxSnapshotNeighbors || int64(m)*12 > int64(len(b)) {
 			return EpochData{}, fmt.Errorf("durable: implausible neighborhood size %d at node %d", m, i)
 		}
 		nbrs := make([]knn.Neighbor, m)
 		for j := range nbrs {
-			if _, err := io.ReadFull(r, u32[:]); err != nil {
-				return EpochData{}, fmt.Errorf("durable: reading neighbor: %w", err)
-			}
-			id := binary.LittleEndian.Uint32(u32[:])
+			id := binary.LittleEndian.Uint32(b)
 			if id >= n {
 				return EpochData{}, fmt.Errorf("durable: node %d neighbor index %d out of range [0,%d)", i, id, n)
 			}
-			sim, err := rd()
-			if err != nil {
-				return EpochData{}, err
-			}
-			nbrs[j] = knn.Neighbor{ID: int32(id), Sim: math.Float64frombits(sim)}
+			nbrs[j] = knn.Neighbor{ID: int32(id), Sim: math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))}
+			b = b[12:]
 		}
 		g.Neighbors[i] = nbrs
 	}
+	r.Reset(b)
 	if magic == epochMagic {
 		if ep.Dead, err = readBitmap(r, len(ep.Users)); err != nil {
 			return EpochData{}, err

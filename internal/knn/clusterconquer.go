@@ -1,7 +1,7 @@
 package knn
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,10 +192,11 @@ func ClusterConquerWith(p Provider, k int, opts Options, cfg ClusterConfig) (*Gr
 		refineHist := m.phase("refine")
 		refineStart := time.Now()
 		threshold := int64(opts.delta() * float64(kCap) * float64(n))
+		order := refineOrder(asn, n)
 		var changed []bool
 		for s := 0; s < sweeps && ctx.Err() == nil; s++ {
 			var rc, ru int64
-			rc, ru, changed = refineSweep(p, g, kCap, workers, opts, m, changed)
+			rc, ru, changed = refineSweep(p, g, order, kCap, workers, opts, m, changed)
 			st.Comparisons += rc
 			st.Updates += ru
 			st.Iterations++
@@ -303,7 +304,7 @@ func mergeViews(g *Graph, locals []*bruteLocal, kCap, workers int) {
 				}
 				out := make([]Neighbor, len(sel))
 				copy(out, sel)
-				sortNeighbors(out)
+				slices.SortFunc(out, compareRank)
 				g.Neighbors[x] = out
 			}
 		}(lo, hi)
@@ -322,17 +323,6 @@ func hasNeighborID(nb []Neighbor, id int32) bool {
 	return false
 }
 
-// sortNeighbors orders a neighbor list by the strict (sim desc, id asc)
-// total order every builder's output uses.
-func sortNeighbors(nb []Neighbor) {
-	sort.Slice(nb, func(i, j int) bool {
-		if nb[i].Sim != nb[j].Sim {
-			return nb[i].Sim > nb[j].Sim
-		}
-		return nb[i].ID < nb[j].ID
-	})
-}
-
 // refineRowBlock is the number of users a refine worker claims per cursor
 // bump.
 const refineRowBlock = 256
@@ -345,6 +335,26 @@ const refineRowBlock = 256
 // the sweep worker-count independent).
 func refineMaxReverse(kCap int) int { return 2 * kCap }
 
+// refineOrder is the order refinement visits users in: view 0's clusters
+// one after another. Members of a cluster share most of their
+// neighbors-of-neighbors, so consecutive rows find their candidates' rows
+// and lists still in cache. Without a complete view it is id order.
+func refineOrder(asn *cluster.Assignment, n int) []int32 {
+	order := make([]int32, 0, n)
+	if len(asn.Views) > 0 {
+		for _, members := range asn.Views[0].Clusters {
+			order = append(order, members...)
+		}
+	}
+	if len(order) != n {
+		order = order[:0]
+		for u := range n {
+			order = append(order, int32(u))
+		}
+	}
+	return order
+}
+
 // refineSweep runs one NNDescent-style pass over the graph: every user
 // rescores the union of its neighbors, its reverse neighbors, and both
 // sets' neighbors against itself, and keeps the top k. The reverse lists
@@ -353,15 +363,16 @@ func refineMaxReverse(kCap int) int { return 2 * kCap }
 // cluster scan missed can only ever be found by v looking *backwards* —
 // forward-only expansion would never converge past the clusters' blind
 // spots. Workers read an immutable snapshot of the pre-sweep rows, so
-// the sweep is deterministic; cancellation between row blocks leaves the
-// untouched users on their previous rows — still valid.
+// the sweep is deterministic, whatever order (a permutation of the users)
+// the rows are claimed in, block by block; cancellation between row blocks
+// leaves the untouched users on their previous rows — still valid.
 //
 // changedPrev (nil on the first sweep) marks the rows the previous sweep
 // rewrote: a user whose row and whose candidate sources' rows are all
 // unchanged cannot select differently and is skipped outright, which is
 // what makes the convergence tail cheap. Returns this sweep's changed
 // marks for the next one.
-func refineSweep(p Provider, g *Graph, kCap, workers int, opts Options, m buildMetrics, changedPrev []bool) (int64, int64, []bool) {
+func refineSweep(p Provider, g *Graph, order []int32, kCap, workers int, opts Options, m buildMetrics, changedPrev []bool) (int64, int64, []bool) {
 	n := len(g.Neighbors)
 	// Rows are never mutated in place (each refined row is a fresh
 	// slice), so copying the headers snapshots the pre-sweep graph.
@@ -422,7 +433,8 @@ func refineSweep(p Provider, g *Graph, kCap, workers int, opts Options, m buildM
 				}
 				hi := min(lo+refineRowBlock, n)
 				var comps, ups int64
-				for u := lo; u < hi; u++ {
+				for _, row := range order[lo:hi] {
+					u := int(row)
 					if len(base[u]) == 0 {
 						continue
 					}
@@ -487,7 +499,7 @@ func refineSweep(p Provider, g *Graph, kCap, workers int, opts Options, m buildM
 					}
 					out := make([]Neighbor, len(sel))
 					copy(out, sel)
-					sortNeighbors(out)
+					slices.SortFunc(out, compareRank)
 					rowUps := int64(0)
 					for i := range out {
 						if !hasNeighborID(base[u], out[i].ID) {

@@ -129,112 +129,6 @@ type SearchStats struct {
 	Abandoned int
 }
 
-// Navigable returns the copy of g used for query navigation: every
-// directed KNN edge u→v is mirrored as v→u (Jaccard is symmetric),
-// adjacency is deduplicated, and each list is reduced to at most
-// max(64, 4K) diverse edges, sorted best-first. A directed KNN graph is a
-// poor search structure — popular "hub" nodes accumulate in-edges that the
-// descent cannot traverse backwards, so whole regions become unreachable
-// from any entry point (measured on the synthetic ML10M shape, recall@10
-// plateaus near 0.65 however large the beam). Reverse edges restore those
-// paths but create the opposite problem: the same hubs now carry thousands
-// of forward edges and one expansion of one hub degenerates into a partial
-// scan (measured: ~27k of 100k rows scored per query, erasing the
-// speedup).
-//
-// The degree cap therefore has to choose which edges survive, and simply
-// keeping the strongest ones fails badly: a node's best edges are
-// near-duplicates of each other, so a best-first cap keeps one tight
-// clique and severs the longer-range links navigation depends on
-// (measured: recall@10 collapses to 0.36 at n=100k). When p is non-nil,
-// Navigable instead applies the classic diversity heuristic of
-// HNSW/Vamana: walking candidates best-first, an edge u→v is kept only if
-// v is closer to u than to every already-kept neighbor — redundant
-// near-duplicates are rejected and weaker long-range edges take their
-// slots — then any remaining capacity is refilled with the best rejected
-// candidates so degree never drops below the cap. With p == nil the cap
-// falls back to plain best-first truncation (acceptable for tiny or
-// synthetic graphs; measurably worse for real search).
-//
-// The result shares no slices with g.
-func (g *Graph) Navigable(p Provider) *Graph {
-	if g == nil {
-		return nil
-	}
-	out := &Graph{K: g.K, Neighbors: make([][]Neighbor, len(g.Neighbors))}
-	deg := make([]int, len(g.Neighbors))
-	for u, nbrs := range g.Neighbors {
-		deg[u] += len(nbrs)
-		for _, nb := range nbrs {
-			if int(nb.ID) < len(deg) {
-				deg[nb.ID]++
-			}
-		}
-	}
-	for u := range out.Neighbors {
-		out.Neighbors[u] = make([]Neighbor, 0, deg[u])
-	}
-	for u, nbrs := range g.Neighbors {
-		out.Neighbors[u] = append(out.Neighbors[u], nbrs...)
-		for _, nb := range nbrs {
-			if int(nb.ID) < len(out.Neighbors) {
-				out.Neighbors[nb.ID] = append(out.Neighbors[nb.ID], Neighbor{ID: int32(u), Sim: nb.Sim})
-			}
-		}
-	}
-	maxDeg := max(64, 4*g.K)
-	var rejected []Neighbor
-	for u := range out.Neighbors {
-		nbrs := out.Neighbors[u]
-		slices.SortFunc(nbrs, compareRank)
-		// Dedup in place (mirroring doubles edges that were already
-		// reciprocal); the sort groups duplicates.
-		uniq := nbrs[:0]
-		for i, nb := range nbrs {
-			if i > 0 && nb.ID == nbrs[i-1].ID {
-				continue
-			}
-			uniq = append(uniq, nb)
-		}
-		if len(uniq) <= maxDeg {
-			out.Neighbors[u] = uniq
-			continue
-		}
-		if p == nil {
-			out.Neighbors[u] = uniq[:maxDeg]
-			continue
-		}
-		kept := make([]Neighbor, 0, maxDeg)
-		rejected = rejected[:0]
-		for _, nb := range uniq {
-			if len(kept) == maxDeg {
-				break
-			}
-			diverse := true
-			for _, w := range kept {
-				if p.Similarity(int(nb.ID), int(w.ID)) > nb.Sim {
-					diverse = false
-					break
-				}
-			}
-			if diverse {
-				kept = append(kept, nb)
-			} else {
-				rejected = append(rejected, nb)
-			}
-		}
-		for _, nb := range rejected {
-			if len(kept) == maxDeg {
-				break
-			}
-			kept = append(kept, nb)
-		}
-		slices.SortFunc(kept, compareRank)
-		out.Neighbors[u] = kept
-	}
-	return out
-}
-
 // searchState is the pooled per-query scratch; pooling makes a steady
 // query load allocation-free regardless of corpus size.
 type searchState struct {
@@ -313,9 +207,10 @@ func ranksAbove(a, b Neighbor) bool {
 	return a.ID < b.ID
 }
 
-// heapUp/heapDown sift a heap of distinct nodes whose root ranks below
-// every entry (worst: the beam) or above (the candidates). The order is
-// compared in place: through func values the sifts were a fifth of a query.
+// heapUp/heapDown sift a heap whose root ranks below every entry (worst:
+// the beam) or above (the candidates, Navigable's long lists); entries
+// equal under the order may repeat. The order is compared in place:
+// through func values the sifts were a fifth of a query.
 func heapUp(h []Neighbor, i int, worst bool) {
 	for i > 0 {
 		p := (i - 1) / 2

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -161,6 +162,188 @@ func TestNavigableDiversity(t *testing.T) {
 			t.Fatalf("adjacency not sorted best-first at %d", i)
 		}
 	}
+}
+
+// referenceNavigable is the sequential Navigable the parallel one replaced,
+// kept as its specification — with one fix: a negative neighbour id, like
+// one ≥ n, stays in its owner's list and is never mirrored (it used to
+// panic).
+func referenceNavigable(g *Graph, p Provider) *Graph {
+	out := &Graph{K: g.K, Neighbors: make([][]Neighbor, len(g.Neighbors))}
+	for u, nbrs := range g.Neighbors {
+		out.Neighbors[u] = append(out.Neighbors[u], nbrs...)
+		for _, nb := range nbrs {
+			if nb.ID >= 0 && int(nb.ID) < len(out.Neighbors) {
+				out.Neighbors[nb.ID] = append(out.Neighbors[nb.ID], Neighbor{ID: int32(u), Sim: nb.Sim})
+			}
+		}
+	}
+	maxDeg := max(64, 4*g.K)
+	for u, nbrs := range out.Neighbors {
+		slices.SortFunc(nbrs, compareRank)
+		uniq := []Neighbor{}
+		for i, nb := range nbrs {
+			if i == 0 || nb.ID != nbrs[i-1].ID {
+				uniq = append(uniq, nb)
+			}
+		}
+		if len(uniq) <= maxDeg || p == nil {
+			out.Neighbors[u] = uniq[:min(len(uniq), maxDeg)]
+			continue
+		}
+		var kept, rejected []Neighbor
+		for _, nb := range uniq {
+			if len(kept) == maxDeg {
+				break
+			}
+			diverse := true
+			for _, w := range kept {
+				if p.Similarity(int(nb.ID), int(w.ID)) > nb.Sim {
+					diverse = false
+					break
+				}
+			}
+			if diverse {
+				kept = append(kept, nb)
+			} else {
+				rejected = append(rejected, nb)
+			}
+		}
+		kept = append(kept, rejected[:min(len(rejected), maxDeg-len(kept))]...)
+		slices.SortFunc(kept, compareRank)
+		out.Neighbors[u] = kept
+	}
+	return out
+}
+
+// randomNavCase draws a graph built to stress Navigable: similarities on a
+// few levels (ties everywhere), reciprocal edges carrying the same
+// similarity (mirrored duplicates) or a stale one, duplicate and self
+// edges, ids ≥ n and negative ids, empty lists, hubs whose in-degree is far
+// above the cap, K with 4K > 64, and a nil provider a third of the time.
+func randomNavCase(rng *rand.Rand) (*Graph, Provider) {
+	n := rng.Intn(50)
+	if rng.Intn(3) == 0 {
+		n = 150 + rng.Intn(600)
+	}
+	k := 1 + rng.Intn(10)
+	if rng.Intn(4) == 0 {
+		k = 17 + rng.Intn(20)
+	}
+	levels := 1 + rng.Intn(8)
+	sim := func(u, v int) float64 {
+		h := uint64(min(u, v))*0x9e3779b97f4a7c15 ^ uint64(max(u, v))*0xbf58476d1ce4e5b9
+		return float64((h^h>>29)%uint64(levels)) / float64(levels)
+	}
+	hubs := make([]int32, 1+rng.Intn(4))
+	for i := range hubs {
+		hubs[i] = int32(rng.Intn(n + 1))
+	}
+	g := &Graph{K: k, Neighbors: make([][]Neighbor, n)}
+	for u := range g.Neighbors {
+		if rng.Intn(6) == 0 {
+			continue
+		}
+		for d := rng.Intn(2*k + 2); d > 0; d-- {
+			v := int32(rng.Intn(n + 1))
+			switch r := rng.Intn(20); {
+			case r == 0:
+				v = int32(n + rng.Intn(3))
+			case r == 1:
+				v = -1 - int32(rng.Intn(3))
+			case r < 9:
+				v = hubs[rng.Intn(len(hubs))]
+			}
+			s := sim(u, int(v))
+			if rng.Intn(8) == 0 {
+				s = float64(rng.Intn(levels)) / float64(levels) // stale
+			}
+			g.Neighbors[u] = append(g.Neighbors[u], Neighbor{ID: v, Sim: s})
+			if v >= 0 && int(v) < n && rng.Intn(3) == 0 {
+				g.Neighbors[v] = append(g.Neighbors[v], Neighbor{ID: int32(u), Sim: s})
+			}
+		}
+	}
+	if rng.Intn(3) == 0 {
+		return g, nil
+	}
+	return g, navTestProvider{n: n, sim: sim}
+}
+
+// checkNavigable fails unless g.Navigable(p) equals the reference entry by
+// entry at GOMAXPROCS 1, 2 and 8, leaves g untouched and returns right-sized
+// lists.
+func checkNavigable(t *testing.T, name string, g *Graph, p Provider) {
+	t.Helper()
+	before := &Graph{K: g.K, Neighbors: make([][]Neighbor, len(g.Neighbors))}
+	for u, nbrs := range g.Neighbors {
+		before.Neighbors[u] = slices.Clone(nbrs)
+	}
+	want := referenceNavigable(before, p)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := g.Navigable(p)
+		if got.K != want.K || len(got.Neighbors) != len(want.Neighbors) {
+			t.Fatalf("%s, GOMAXPROCS %d: K=%d with %d lists, want K=%d with %d", name, procs,
+				got.K, len(got.Neighbors), want.K, len(want.Neighbors))
+		}
+		for u := range want.Neighbors {
+			if !slices.Equal(got.Neighbors[u], want.Neighbors[u]) || cap(got.Neighbors[u]) != len(got.Neighbors[u]) {
+				t.Fatalf("%s, GOMAXPROCS %d, node %d (cap %d):\n got %v\nwant %v", name, procs, u,
+					cap(got.Neighbors[u]), got.Neighbors[u], want.Neighbors[u])
+			}
+		}
+		for u := range g.Neighbors {
+			if !slices.Equal(g.Neighbors[u], before.Neighbors[u]) {
+				t.Fatalf("%s, GOMAXPROCS %d: Navigable modified node %d of its receiver", name, procs, u)
+			}
+		}
+	}
+}
+
+// TestNavigableMatchesReference is the differential test of the parallel
+// Navigable: on random graphs built to tie and to overflow the cap, its
+// output equals the sequential reference's at every GOMAXPROCS. Runs under
+// -race in `make parity`.
+func TestNavigableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	trials := 400
+	if testing.Short() {
+		trials = 100
+	}
+	for trial := range trials {
+		g, p := randomNavCase(rng)
+		checkNavigable(t, fmt.Sprintf("trial %d (n=%d K=%d provider=%v)", trial, len(g.Neighbors), g.K, p != nil), g, p)
+	}
+
+	// A negative id is treated like one ≥ n: kept by its owner, not
+	// mirrored, and never a panic.
+	g := &Graph{K: 2, Neighbors: [][]Neighbor{{{ID: -1, Sim: 0.5}, {ID: 1, Sim: 0.25}}, {{ID: 7, Sim: 0.75}}}}
+	got := g.Navigable(nil)
+	if want := [][]Neighbor{{{ID: -1, Sim: 0.5}, {ID: 1, Sim: 0.25}}, {{ID: 7, Sim: 0.75}, {ID: 0, Sim: 0.25}}}; !slices.EqualFunc(got.Neighbors, want, slices.Equal) {
+		t.Fatalf("out-of-range ids: got %v, want %v", got.Neighbors, want)
+	}
+}
+
+// TestNavigableMatchesReference10k is the same check on the graph the
+// service derives its navigable form from: a cluster-built graph at
+// n=10k, with the SHF provider's diversity walk over its hubs.
+func TestNavigableMatchesReference10k(t *testing.T) {
+	const n, k = 10000, 10
+	profiles := clusteredProfiles(n, 0, 26)
+	provider := NewPackedSHFProvider(core.MustScheme(1024, 26).PackProfiles(profiles, 0))
+	g, _ := ClusterConquer(provider, k, Options{Seed: 26})
+	over := 0
+	for _, nbrs := range referenceNavigable(g, nil).Neighbors {
+		if len(nbrs) == max(64, 4*k) {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatal("no node reaches the degree cap; the fixture does not exercise the diversity walk")
+	}
+	checkNavigable(t, "10k cluster graph", g, provider)
 }
 
 func TestGraphSearchFindsScanNeighbors(t *testing.T) {

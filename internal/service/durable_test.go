@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"goldfinger/internal/core"
 	"goldfinger/internal/durable"
@@ -418,8 +419,12 @@ func TestWALGrowthTriggersCompaction(t *testing.T) {
 	}
 	// Compaction runs asynchronously; all that matters for correctness is
 	// that a restart recovers every acked upload regardless of how many
-	// compactions landed in between.
+	// compactions landed in between. One still in flight is waited out: it
+	// would otherwise race the reopen below and the temp dir's removal.
 	ts.Close()
+	for srv.compacting.Load() {
+		time.Sleep(time.Millisecond)
+	}
 	st.Close()
 	_, rec2, err := durable.Open(durable.Options{Dir: dir, FS: durable.OSFS{}, Logf: t.Logf})
 	if err != nil {
