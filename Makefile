@@ -14,7 +14,7 @@ build:
 # burst over every fuzz target, a one-iteration benchmark smoke so the
 # perf-critical kernel benches can never rot unnoticed, and the repo's
 # benchmark (bench/, its own module, invisible to ./...) at smoke scale.
-check: benchsmoke benchquery benchcluster perfsmoke racecheck crashcheck loadcheck shardcheck onlinecheck clustershort fuzzshort
+check: benchsmoke benchquery benchcluster perfsmoke racecheck crashcheck loadcheck onlinecheck clustershort fuzzshort
 	$(GO) vet ./...
 
 test: check
@@ -72,20 +72,20 @@ crashcheck:
 loadcheck:
 	$(GO) test -race -count=1 -skip 'TestCluster' ./cmd/knnload
 
-# The shard-tier chaos suite under the race detector: four shard-cores
-# behind the scatter-gather router with a TCP chaos proxy per shard;
-# kill and slow-loris one of four mid-load (2× the healthy request
-# rate) and assert 200s with X-Partial-Results: 3/4, p99 within 2× the
-# healthy baseline (250ms floor for machine noise), recall@10
-# proportional to the lost coverage and >= 0.70× healthy, fail-fast
-# 503+Retry-After mutations to the dead shard, and breaker re-close
-# within one open interval + probe tick of the shard returning. The
-# measured run lands in BENCH_load.json under "shard_chaos" — only here:
-# without -record the tests write nothing. count=1 so the chaos replays
-# every time.
+# The shard-tier chaos run that records: four shard-cores behind the
+# scatter-gather router with a TCP chaos proxy per shard; kill and
+# slow-loris one of four mid-load (2× the healthy request rate) and
+# assert 200s with X-Partial-Results: 3/4, p99 within 2× the healthy
+# baseline (250ms floor for machine noise), recall@10 proportional to the
+# lost coverage and >= 0.70× healthy, fail-fast 503+Retry-After mutations
+# to the dead shard, and breaker re-close within one open interval +
+# probe tick of the shard returning. The measured run lands in
+# BENCH_load.json under "shard_chaos" — only here: without -record the
+# test writes nothing. Not part of `make check`, whose loadcheck already
+# runs the same test under -race without recording. count=1 so the chaos
+# replays every time.
 shardcheck:
 	$(GO) test -race -count=1 -run 'ShardChaos' ./cmd/knnload -args -record=$(CURDIR)/BENCH_load.json
-	$(GO) test -race -count=1 -run 'RunSharded' ./cmd/knnserver
 
 # The multi-process cluster suite under the race detector: three
 # knnserver shard PROCESSES (own durable dirs, own WALs, race-built)

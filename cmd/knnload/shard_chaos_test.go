@@ -249,19 +249,22 @@ func TestShardChaosKillOneOfFour(t *testing.T) {
 		names[i] = fmt.Sprintf("shard-%d", i)
 	}
 	place := router.NewPlacement(names, 0)
+	ring := service.RingInfo{Epoch: 1, Mode: service.RingStable, Names: names}
 
 	// Real shard-cores behind real HTTP servers behind chaos proxies.
 	shards := make([]*service.Server, nShards)
 	proxies := make([]*chaosProxy, nShards)
 	specs := make([]router.ShardSpec, nShards)
 	for i := 0; i < nShards; i++ {
-		idx := i
 		srv, err := service.NewServer(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.SetAdmission(admit.DefaultConfig())
-		srv.SetShard(names[i], func(id string) bool { return place.Owner(id) == idx })
+		srv.SetShardName(names[i])
+		if err := srv.InstallRing(ring); err != nil {
+			t.Fatal(err)
+		}
 		shards[i] = srv
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -37,7 +37,10 @@
 //   - Periodic rebuilds are still worthwhile (they restore batch-quality
 //     edges and compact tombstones) but are a background optimization,
 //     not a visibility requirement. GET /stats reports graph_stale only
-//     in the legacy frozen-epoch mode.
+//     when the served epoch lags the state: a restart whose WAL lost the
+//     tail of its graph deltas recovers the epoch behind the recovered
+//     users, and until the next build auto-mode queries scan and
+//     neighbor reads answer 409 for the users the graph never saw.
 //   - At most one build runs at a time: a concurrent POST /graph/build gets
 //     409 Conflict with a Retry-After header instead of queuing. The
 //     publish path drains mutations accepted during the build so nothing
@@ -93,10 +96,19 @@
 // -max-header-bytes. /healthz, /debug/pprof and DELETE /graph/build bypass
 // admission: probes and load relief must keep working while overloaded.
 //
+// # Sharded deployment
+//
+// -role shard runs the same service as one named shard-core of a cluster
+// (-name, -join: it registers with the router and persists the placement
+// ring it is pushed beside its WAL); -role router runs the scatter-gather
+// tier in front of them. Without -role the process is a single node.
+//
 // Usage:
 //
 //	knnserver -addr :8080 -bits 1024 -build-timeout 5m -data-dir /var/lib/knn -fsync always \
 //	  -max-inflight-queries 32 -query-timeout 5s -rate-limit 2000
+//	knnserver -role router -addr :8080
+//	knnserver -role shard -name shard-0 -addr :8081 -data-dir /var/lib/knn/shard-0 -join http://localhost:8080
 package main
 
 import (
@@ -132,10 +144,11 @@ func main() {
 	}
 }
 
-// run parses args, starts the server, and serves until ctx is canceled
-// (then shuts down gracefully). When ready is non-nil it is called with
-// the bound listen address once the listener is up — tests use it with
-// -addr 127.0.0.1:0.
+// run parses args, starts the process the flags select — a single node, a
+// -role shard core or the -role router tier — and serves until ctx is
+// canceled (then shuts down gracefully). When ready is non-nil it is
+// called with the bound listen address once the listener is up — tests
+// use it with -addr 127.0.0.1:0.
 func run(ctx context.Context, args []string, logw io.Writer, ready func(addr string)) error {
 	fs := flag.NewFlagSet("knnserver", flag.ContinueOnError)
 	fs.SetOutput(logw)
@@ -165,10 +178,8 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		"independent clustering views for algo=cluster builds (0 uses the default)")
 	clusterMaxSize := fs.Int("cluster-max-size", 0,
 		"maximum cluster size for algo=cluster builds; oversized buckets are split recursively (0 uses the default)")
-	shards := fs.Int("shards", 1,
-		"run this many in-process shard-cores behind a scatter-gather router on -addr (1: classic single node)")
 	role := fs.String("role", "",
-		"multi-process deployment role: \"shard\" (one shard-core process; pair with -name and -join) or \"router\" (routing tier; pair with -peers). Empty: single node or -shards in-process mode")
+		"multi-process deployment role: \"shard\" (one shard-core process; pair with -name and -join) or \"router\" (routing tier; pair with -peers). Empty: single node")
 	shardName := fs.String("name", "",
 		"role=shard: this shard's stable name on the placement ring (e.g. shard-0); must survive restarts so the ring does not move")
 	joinURL := fs.String("join", "",
@@ -182,9 +193,9 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	migrateRate := fs.Int("migrate-rate", 0,
 		"role=shard: cap migration-import apply throughput at this many users/second so a live gainer stays responsive while a transfer streams in (0: unlimited)")
 	quorum := fs.Float64("quorum", 0.5,
-		"sharded mode: minimum fraction of shards that must answer a /query for a 200; below it the router answers 503 with Retry-After")
+		"role=router: minimum fraction of shards that must answer a /query for a 200; below it the router answers 503 with Retry-After")
 	hedgeAfter := fs.Duration("hedge-after", 0,
-		"sharded mode: wait this long before hedging a duplicate request at a straggler shard (0: adaptive, 2× the shard's windowed p99; negative disables hedging)")
+		"role=router: wait this long before hedging a duplicate request at a straggler shard (0: adaptive, 2× the shard's windowed p99; negative disables hedging)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -222,9 +233,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	if *clusterMaxSize < 0 {
 		return fmt.Errorf("-cluster-max-size must be non-negative, got %d", *clusterMaxSize)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
-	}
 	if *quorum <= 0 || *quorum > 1 {
 		return fmt.Errorf("-quorum must be in (0, 1], got %g", *quorum)
 	}
@@ -237,39 +245,20 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	}
 
 	logger := log.New(logw, "", log.LstdFlags)
+	timeouts := httpTimeouts{*readTimeout, *writeTimeout, *idleTimeout, *maxHeaderBytes}
 	switch *role {
 	case "":
 		if *shardName != "" || *joinURL != "" || *advertiseURL != "" || *peers != "" {
 			return errors.New("-name, -join, -advertise and -peers require a -role")
 		}
 	case "shard":
-		if *shards != 1 {
-			return errors.New("-role shard runs exactly one shard-core; drop -shards")
-		}
 		if *peers != "" {
 			return errors.New("-peers is a router flag; a shard uses -join")
 		}
 		if *shardName == "" {
 			return errors.New("-role shard requires -name (a stable ring name, e.g. shard-0)")
 		}
-		return runShardProc(ctx, shardProcParams{
-			addr:         *addr,
-			bits:         *bits,
-			name:         *shardName,
-			join:         *joinURL,
-			advertise:    *advertiseURL,
-			buildTimeout: *buildTimeout,
-			dataDir:      *dataDir,
-			fsync:        fsyncPolicy,
-			httpTimeouts: httpTimeouts{*readTimeout, *writeTimeout, *idleTimeout, *maxHeaderBytes},
-			admission:    admissionConfig(*maxInflightQueries, *queryTimeout, *rateLimit),
-			migrateRate:  *migrateRate,
-			clusterViews: *clusterViews, clusterMaxSize: *clusterMaxSize,
-		}, logger, ready)
 	case "router":
-		if *shards != 1 {
-			return errors.New("-role router has no local shard-cores; drop -shards")
-		}
 		if *joinURL != "" || *shardName != "" || *dataDir != "" {
 			return errors.New("-name, -join and -data-dir are shard flags; the router holds no data")
 		}
@@ -280,111 +269,26 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 			hedgeAfter:     *hedgeAfter,
 			queryTimeout:   *queryTimeout,
 			migrateTimeout: *migrateTimeout,
-			httpTimeouts:   httpTimeouts{*readTimeout, *writeTimeout, *idleTimeout, *maxHeaderBytes},
+			httpTimeouts:   timeouts,
 		}, logger, ready)
 	default:
 		return fmt.Errorf("unknown -role %q (want shard or router)", *role)
 	}
-	if *shards > 1 {
-		return runSharded(ctx, shardedParams{
-			addr:           *addr,
-			bits:           *bits,
-			shards:         *shards,
-			quorum:         *quorum,
-			hedgeAfter:     *hedgeAfter,
-			buildTimeout:   *buildTimeout,
-			dataDir:        *dataDir,
-			fsync:          fsyncPolicy,
-			readTimeout:    *readTimeout,
-			writeTimeout:   *writeTimeout,
-			idleTimeout:    *idleTimeout,
-			maxHeaderBytes: *maxHeaderBytes,
-			maxInflight:    *maxInflightQueries,
-			queryTimeout:   *queryTimeout,
-			rateLimit:      *rateLimit,
-			clusterViews:   *clusterViews,
-			clusterMaxSize: *clusterMaxSize,
-		}, logger, ready)
-	}
-
-	srv, err := service.NewServer(*bits)
-	if err != nil {
-		return err
-	}
-	srv.SetBuildTimeout(*buildTimeout)
-	srv.SetClusterConfig(*clusterViews, *clusterMaxSize)
-
-	srv.SetAdmission(admissionConfig(*maxInflightQueries, *queryTimeout, *rateLimit))
-
-	var store *durable.Store
-	if *dataDir != "" {
-		st, rec, err := durable.Open(durable.Options{
-			Dir:     *dataDir,
-			Fsync:   fsyncPolicy,
-			Metrics: srv.Metrics(),
-			Logf:    logger.Printf,
-		})
-		if err != nil {
-			return fmt.Errorf("opening data dir %s: %w", *dataDir, err)
-		}
-		if err := srv.UseStore(st, rec); err != nil {
-			st.Close()
-			return err
-		}
-		store = st
-		epoch := int64(0)
-		if rec.Epoch != nil {
-			epoch = rec.Epoch.Seq
-		}
-		logger.Printf("recovered %d users from %s (epoch %d, %d WAL records replayed, %d bytes dropped, %d files quarantined)",
-			len(rec.State.Users), *dataDir, epoch, rec.RecordsReplayed, rec.BytesDropped, len(rec.Quarantined))
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return err
-	}
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-		MaxHeaderBytes:    *maxHeaderBytes,
-	}
-
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Printf("shutdown: %v", err)
-		}
-	}()
-
-	logger.Printf("knnserver listening on %s (fingerprints: %d bits, build timeout: %s)",
-		ln.Addr(), *bits, *buildTimeout)
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		if store != nil {
-			store.Close()
-		}
-		return err
-	}
-	// Graceful shutdown: seal the active WAL segment so the next start
-	// replays a cleanly-synced tail. Crash-stops skip this path by design —
-	// that is what recovery is for.
-	if store != nil {
-		if err := store.Close(); err != nil {
-			logger.Printf("closing durable store: %v", err)
-		}
-	}
-	return nil
+	return runNode(ctx, nodeParams{
+		addr:           *addr,
+		bits:           *bits,
+		name:           *shardName,
+		join:           *joinURL,
+		advertise:      *advertiseURL,
+		buildTimeout:   *buildTimeout,
+		dataDir:        *dataDir,
+		fsync:          fsyncPolicy,
+		httpTimeouts:   timeouts,
+		admission:      admissionConfig(*maxInflightQueries, *queryTimeout, *rateLimit),
+		migrateRate:    *migrateRate,
+		clusterViews:   *clusterViews,
+		clusterMaxSize: *clusterMaxSize,
+	}, logger, ready)
 }
 
 // admissionConfig derives the admission configuration the flags select.
@@ -404,179 +308,6 @@ func admissionConfig(maxInflightQueries int, queryTimeout time.Duration, rateLim
 	return cfg
 }
 
-// shardedParams carries the parsed flags into sharded mode.
-type shardedParams struct {
-	addr           string
-	bits           int
-	shards         int
-	quorum         float64
-	hedgeAfter     time.Duration
-	buildTimeout   time.Duration
-	dataDir        string
-	fsync          durable.FsyncPolicy
-	readTimeout    time.Duration
-	writeTimeout   time.Duration
-	idleTimeout    time.Duration
-	maxHeaderBytes int
-	maxInflight    int
-	queryTimeout   time.Duration
-	rateLimit      float64
-	clusterViews   int
-	clusterMaxSize int
-}
-
-// runSharded boots -shards in-process shard-cores, each a full knnserver
-// service owning a consistent-hash slice of the user ids, listening on its
-// own loopback port with real HTTP between the tiers — the router speaks
-// to them exactly as it would to remote shards. The scatter-gather router
-// serves -addr with the same endpoint surface as a single node.
-func runSharded(ctx context.Context, p shardedParams, logger *log.Logger, ready func(addr string)) error {
-	names := make([]string, p.shards)
-	for i := range names {
-		names[i] = fmt.Sprintf("shard-%d", i)
-	}
-	// Shard-cores and router derive ownership from the same deterministic
-	// placement ring, so a shard can answer 421 (naming the owner in
-	// X-Owner-Shard) for ids the router would never send it — misrouting
-	// is loud, not silent.
-	ring := service.RingInfo{Epoch: 1, Mode: service.RingStable, Names: names}
-
-	var (
-		specs     []router.ShardSpec
-		shardSrvs []*http.Server
-		stores    []*durable.Store
-		closers   []func()
-	)
-	cleanup := func() {
-		for _, c := range closers {
-			c()
-		}
-	}
-	for i := 0; i < p.shards; i++ {
-		srv, err := service.NewServer(p.bits)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		srv.SetBuildTimeout(p.buildTimeout)
-		srv.SetClusterConfig(p.clusterViews, p.clusterMaxSize)
-		srv.SetAdmission(admissionConfig(p.maxInflight, p.queryTimeout, p.rateLimit))
-		srv.SetShardName(names[i])
-		if err := srv.InstallRing(ring); err != nil {
-			cleanup()
-			return err
-		}
-		if p.dataDir != "" {
-			dir := filepath.Join(p.dataDir, names[i])
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				cleanup()
-				return fmt.Errorf("creating shard data dir %s: %w", dir, err)
-			}
-			st, rec, err := durable.Open(durable.Options{
-				Dir:     dir,
-				Fsync:   p.fsync,
-				Metrics: srv.Metrics(),
-				Logf:    logger.Printf,
-			})
-			if err != nil {
-				cleanup()
-				return fmt.Errorf("opening shard data dir %s: %w", dir, err)
-			}
-			if err := srv.UseStore(st, rec); err != nil {
-				st.Close()
-				cleanup()
-				return err
-			}
-			stores = append(stores, st)
-			closers = append(closers, func() { st.Close() })
-			logger.Printf("%s: recovered %d users from %s (%d WAL records replayed)",
-				names[i], len(rec.State.Users), dir, rec.RecordsReplayed)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			return fmt.Errorf("listening for %s: %w", names[i], err)
-		}
-		hs := &http.Server{
-			Handler:           srv.Handler(),
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       p.readTimeout,
-			WriteTimeout:      p.writeTimeout,
-			IdleTimeout:       p.idleTimeout,
-			MaxHeaderBytes:    p.maxHeaderBytes,
-		}
-		shardSrvs = append(shardSrvs, hs)
-		closers = append(closers, func() { hs.Close() })
-		name := names[i]
-		go func() {
-			if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("%s: serve: %v", name, err)
-			}
-		}()
-		specs = append(specs, router.ShardSpec{Name: names[i], URL: "http://" + ln.Addr().String()})
-		logger.Printf("%s listening on %s", names[i], ln.Addr())
-	}
-
-	rt, err := router.New(router.Config{
-		Shards:       specs,
-		Quorum:       p.quorum,
-		QueryTimeout: p.queryTimeout,
-		HedgeAfter:   p.hedgeAfter,
-		Metrics:      obs.NewRegistry(),
-		Logf:         logger.Printf,
-	})
-	if err != nil {
-		cleanup()
-		return err
-	}
-	ln, err := net.Listen("tcp", p.addr)
-	if err != nil {
-		rt.Close()
-		cleanup()
-		return err
-	}
-	front := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       p.readTimeout,
-		WriteTimeout:      p.writeTimeout,
-		IdleTimeout:       p.idleTimeout,
-		MaxHeaderBytes:    p.maxHeaderBytes,
-	}
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := front.Shutdown(shutdownCtx); err != nil {
-			logger.Printf("router shutdown: %v", err)
-		}
-	}()
-
-	logger.Printf("knnserver router listening on %s (%d shards, quorum %g, fingerprints: %d bits)",
-		ln.Addr(), p.shards, p.quorum, p.bits)
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	serveErr := front.Serve(ln)
-	rt.Close()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for i, hs := range shardSrvs {
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			logger.Printf("%s shutdown: %v", names[i], err)
-		}
-	}
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
-			logger.Printf("closing shard store: %v", err)
-		}
-	}
-	if serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
-		return serveErr
-	}
-	return nil
-}
-
 // httpTimeouts bundles the http.Server hardening flags.
 type httpTimeouts struct {
 	read, write, idle time.Duration
@@ -594,8 +325,9 @@ func (t httpTimeouts) server(h http.Handler) *http.Server {
 	}
 }
 
-// shardProcParams carries the parsed flags into -role shard mode.
-type shardProcParams struct {
+// nodeParams carries the parsed flags into a service process; name, join
+// and advertise are set only in -role shard mode.
+type nodeParams struct {
 	addr           string
 	bits           int
 	name           string
@@ -616,13 +348,13 @@ type shardProcParams struct {
 // 421 with the right owner) before the router re-pushes.
 const ringFile = "ring.json"
 
-// runShardProc boots one shard-core as its own OS process: a full
-// knnserver service with its own WAL under -data-dir, named on the
-// placement ring, registering itself with the router at -join and
-// re-asserting membership periodically so a restarted router relearns the
-// cluster without operator action. Migration state (import journal marks)
-// rides the shard's own WAL, so a SIGKILL mid-migration recovers.
-func runShardProc(ctx context.Context, p shardProcParams, logger *log.Logger, ready func(addr string)) error {
+// runNode boots one service process: a full knnserver service, durable
+// under -data-dir when one is given. With a name it is one shard-core of a
+// -role shard deployment: named on the placement ring, persisting every
+// ring it is pushed beside its WAL, and registering itself with the router
+// at -join. Migration state (import journal marks) rides the WAL, so a
+// SIGKILL mid-migration recovers.
+func runNode(ctx context.Context, p nodeParams, logger *log.Logger, ready func(addr string)) error {
 	srv, err := service.NewServer(p.bits)
 	if err != nil {
 		return err
@@ -632,27 +364,13 @@ func runShardProc(ctx context.Context, p shardProcParams, logger *log.Logger, re
 	srv.SetClusterConfig(p.clusterViews, p.clusterMaxSize)
 	srv.SetAdmission(p.admission)
 	srv.SetMigrateRate(p.migrateRate)
+	who, logPrefix := "knnserver", ""
+	if p.name != "" {
+		who, logPrefix = "knnserver shard "+p.name, p.name+": "
+	}
 
 	var store *durable.Store
 	if p.dataDir != "" {
-		if err := os.MkdirAll(p.dataDir, 0o755); err != nil {
-			return fmt.Errorf("creating data dir %s: %w", p.dataDir, err)
-		}
-		ringPath := filepath.Join(p.dataDir, ringFile)
-		srv.SetRingHook(func(info service.RingInfo) {
-			raw, err := json.Marshal(info)
-			if err != nil {
-				return
-			}
-			tmp := ringPath + ".tmp"
-			if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-				logger.Printf("persisting ring: %v", err)
-				return
-			}
-			if err := os.Rename(tmp, ringPath); err != nil {
-				logger.Printf("persisting ring: %v", err)
-			}
-		})
 		st, rec, err := durable.Open(durable.Options{
 			Dir:     p.dataDir,
 			Fsync:   p.fsync,
@@ -667,18 +385,14 @@ func runShardProc(ctx context.Context, p shardProcParams, logger *log.Logger, re
 			return err
 		}
 		store = st
-		logger.Printf("%s: recovered %d users from %s (%d WAL records replayed)",
-			p.name, len(rec.State.Users), p.dataDir, rec.RecordsReplayed)
-		if raw, err := os.ReadFile(ringPath); err == nil {
-			var info service.RingInfo
-			if err := json.Unmarshal(raw, &info); err == nil {
-				if err := srv.InstallRing(info); err != nil {
-					logger.Printf("%s: persisted ring rejected: %v", p.name, err)
-				} else {
-					logger.Printf("%s: recovered ring epoch %d (%s, %d shards)",
-						p.name, info.Epoch, info.Mode, len(info.Names))
-				}
-			}
+		epoch := int64(0)
+		if rec.Epoch != nil {
+			epoch = rec.Epoch.Seq
+		}
+		logger.Printf("%srecovered %d users from %s (epoch %d, %d WAL records replayed, %d bytes dropped, %d files quarantined)",
+			logPrefix, len(rec.State.Users), p.dataDir, epoch, rec.RecordsReplayed, rec.BytesDropped, len(rec.Quarantined))
+		if p.name != "" {
+			persistRing(srv, filepath.Join(p.dataDir, ringFile), p.name, logger)
 		}
 	}
 
@@ -689,10 +403,6 @@ func runShardProc(ctx context.Context, p shardProcParams, logger *log.Logger, re
 		}
 		return err
 	}
-	advertise := p.advertise
-	if advertise == "" {
-		advertise = "http://" + loopbackAddr(ln.Addr().String())
-	}
 	httpSrv := p.httpTimeouts.server(srv.Handler())
 	go func() {
 		<-ctx.Done()
@@ -702,52 +412,23 @@ func runShardProc(ctx context.Context, p shardProcParams, logger *log.Logger, re
 			logger.Printf("shutdown: %v", err)
 		}
 	}()
-
-	// Register with the router: retry until the first ack (the router may
-	// start after us), then re-assert every 30s so a restarted router —
-	// whose membership table is in-memory — relearns us without operator
-	// action. A SIGKILL here is safe: the router's prober marks us dead but
-	// keeps us on the ring, so a restart resumes the same slice.
 	if p.join != "" {
-		go func() {
-			body, _ := json.Marshal(map[string]string{"name": p.name, "url": advertise})
-			joined := false
-			for {
-				req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-					p.join+"/cluster/join", bytes.NewReader(body))
-				if err == nil {
-					req.Header.Set("Content-Type", "application/json")
-					resp, err := http.DefaultClient.Do(req)
-					if err == nil {
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode == http.StatusOK && !joined {
-							joined = true
-							logger.Printf("%s: joined cluster at %s (advertising %s)", p.name, p.join, advertise)
-						}
-					} else if !joined {
-						logger.Printf("%s: join %s: %v (retrying)", p.name, p.join, err)
-					}
-				}
-				wait := 30 * time.Second
-				if !joined {
-					wait = time.Second
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(wait):
-				}
-			}
-		}()
+		advertise := p.advertise
+		if advertise == "" {
+			advertise = "http://" + loopbackAddr(ln.Addr().String())
+		}
+		go joinLoop(ctx, p.join, p.name, advertise, joinAttemptTimeout, logger)
 	}
 
-	logger.Printf("knnserver shard %s listening on %s (fingerprints: %d bits, advertising %s)",
-		p.name, ln.Addr(), p.bits, advertise)
+	logger.Printf("%s listening on %s (fingerprints: %d bits, build timeout: %s)",
+		who, ln.Addr(), p.bits, p.buildTimeout)
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
 	serveErr := httpSrv.Serve(ln)
+	// Graceful shutdown: seal the active WAL segment so the next start
+	// replays a cleanly-synced tail. Crash-stops skip this path by design —
+	// that is what recovery is for.
 	if store != nil {
 		if err := store.Close(); err != nil {
 			logger.Printf("closing durable store: %v", err)
@@ -755,6 +436,94 @@ func runShardProc(ctx context.Context, p shardProcParams, logger *log.Logger, re
 	}
 	if serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
 		return serveErr
+	}
+	return nil
+}
+
+// persistRing makes srv write every ring it installs to path (tmp +
+// rename) and reinstalls the ring a previous run left there.
+func persistRing(srv *service.Server, path, name string, logger *log.Logger) {
+	srv.SetRingHook(func(info service.RingInfo) {
+		raw, _ := json.Marshal(info)
+		tmp := path + ".tmp"
+		if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+			logger.Printf("persisting ring: %v", err)
+			return
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			logger.Printf("persisting ring: %v", err)
+		}
+	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return
+	}
+	var info service.RingInfo
+	if err := json.Unmarshal(raw, &info); err != nil {
+		return
+	}
+	if err := srv.InstallRing(info); err != nil {
+		logger.Printf("%s: persisted ring rejected: %v", name, err)
+		return
+	}
+	logger.Printf("%s: recovered ring epoch %d (%s, %d shards)", name, info.Epoch, info.Mode, len(info.Names))
+}
+
+// joinAttemptTimeout bounds one POST /cluster/join. The router answers a
+// join only after pushing the new ring to every shard, which it allows 3s,
+// so the bound sits well above that. Without a bound, a router that
+// accepts the connection and then stalls parks the join loop for good:
+// neither the retry nor the periodic re-assert would ever run again.
+const joinAttemptTimeout = 10 * time.Second
+
+// joinLoop registers the shard with the router: retry each second until
+// the first ack (the router may start after us), then re-assert every 30s
+// so a restarted router — whose membership table is in-memory — relearns
+// us without operator action. A SIGKILL here is safe: the router's prober
+// marks us dead but keeps us on the ring, so a restart resumes the same
+// slice. Each attempt gives up after attempt.
+func joinLoop(ctx context.Context, routerURL, name, advertise string, attempt time.Duration, logger *log.Logger) {
+	body, _ := json.Marshal(map[string]string{"name": name, "url": advertise})
+	joined := false
+	for {
+		err := postJoin(ctx, routerURL+"/cluster/join", body, attempt)
+		switch {
+		case err == nil && !joined:
+			joined = true
+			logger.Printf("%s: joined cluster at %s (advertising %s)", name, routerURL, advertise)
+		case err != nil && !joined:
+			logger.Printf("%s: join %s: %v (retrying)", name, routerURL, err)
+		}
+		wait := 30 * time.Second
+		if !joined {
+			wait = time.Second
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(wait):
+		}
+	}
+}
+
+// postJoin makes one join attempt, abandoned after timeout; any answer
+// but 200 is an error.
+func postJoin(ctx context.Context, url string, body []byte, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("router answered %s", resp.Status)
 	}
 	return nil
 }

@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,8 +34,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-rate-limit", "-100"},
 		{"-cluster-views", "-1"},
 		{"-cluster-max-size", "-64"},
-		{"-shards", "0"},
-		{"-shards", "-2"},
 		{"-quorum", "0"},
 		{"-quorum", "1.5"},
 		{"-quorum", "-0.5"},
@@ -39,7 +41,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"stray-positional"},
 		{"-role", "bogus"},
 		{"-role", "shard"},                               // missing -name
-		{"-role", "shard", "-shards", "2"},               // roles run one core
 		{"-role", "shard", "-name", "s0", "-peers", "x"}, // -peers is a router flag
 		{"-role", "router", "-data-dir", "/tmp/x"},       // router holds no data
 		{"-role", "router", "-join", "http://x"},         // -join is a shard flag
@@ -359,25 +360,122 @@ func uploadUser(t *testing.T, client *http.Client, addr string, scheme *core.Sch
 	resp.Body.Close()
 }
 
-// TestRunShardedServes is the -shards smoke test at the binary boundary:
-// three in-process shard-cores behind the router, real HTTP between the
-// tiers. Uploads route to owners, the build fans out, /query scatter-
-// gathers with full coverage, /stats aggregates the shards section, and a
-// request sent directly to a shard for a user it does not own is answered
-// 421 Misdirected Request.
-func TestRunShardedServes(t *testing.T) {
-	var logs bytes.Buffer
-	addr, shutdown := startServer(t, &logs, "-shards", "3")
-	defer shutdown()
-	scheme := core.MustScheme(256, 7)
-	client := &http.Client{Timeout: 10 * time.Second}
+// startProc boots run() with the given args in a goroutine and returns the
+// bound address. The process shuts down when ctx is canceled.
+func startProc(t *testing.T, ctx context.Context, args ...string) string {
+	t.Helper()
+	addrCh := make(chan string, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run(ctx, args, io.Discard, func(addr string) { addrCh <- addr })
+	}()
+	select {
+	case addr := <-addrCh:
+		return addr
+	case err := <-errCh:
+		t.Fatalf("run %v exited before ready: %v", args, err)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("run %v did not become ready", args)
+	}
+	return ""
+}
 
-	const n = 30
-	for i := 0; i < n; i++ {
-		uploadUser(t, client, addr, scheme, fmt.Sprintf("u%d", i), i)
+// getJSON decodes the JSON body of a GET into v.
+func getJSON(t *testing.T, client *http.Client, url string, v any) {
+	t.Helper()
+	resp, err := client.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// startCluster boots one -role router and a -role shard per name
+// (in-process, but wired only over loopback HTTP exactly as separate OS
+// processes would be), and waits until every shard has self-registered,
+// the router's ring is stable over all of them, and every shard holds that
+// ring. It returns the router's address and the shards' URLs. Everything
+// shuts down when ctx is canceled.
+func startCluster(t *testing.T, ctx context.Context, client *http.Client, names ...string) (string, []string) {
+	t.Helper()
+	routerAddr := startProc(t, ctx, "-role", "router", "-addr", "127.0.0.1:0")
+	routerURL := "http://" + routerAddr
+	var shardURLs []string
+	for _, name := range names {
+		shardURLs = append(shardURLs, "http://"+startProc(t, ctx, "-role", "shard", "-name", name,
+			"-addr", "127.0.0.1:0", "-bits", "256", "-join", routerURL))
 	}
 
-	resp, err := client.Post("http://"+addr+"/graph/build?k=3&algo=bruteforce", "", nil)
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		var cv struct {
+			RingEpoch uint64   `json:"ring_epoch"`
+			RingMode  string   `json:"ring_mode"`
+			RingNames []string `json:"ring_names"`
+		}
+		getJSON(t, client, routerURL+"/cluster", &cv)
+		settled := len(cv.RingNames) == len(names) && cv.RingMode == "stable"
+		for _, u := range shardURLs {
+			var st struct {
+				RingEpoch uint64 `json:"ring_epoch"`
+				RingMode  string `json:"ring_mode"`
+			}
+			getJSON(t, client, u+"/stats", &st)
+			settled = settled && st.RingEpoch == cv.RingEpoch && st.RingMode == "stable"
+		}
+		if settled {
+			return routerAddr, shardURLs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster did not settle: ring %v mode %s", cv.RingNames, cv.RingMode)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestRoleShardAndRouter checks the -role wiring: two shards started with
+// -join register themselves, the ring settles on the router and on both
+// shards, and a user uploaded through the router is found again through it.
+func TestRoleShardAndRouter(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := &http.Client{Timeout: 10 * time.Second}
+	routerAddr, _ := startCluster(t, ctx, client, "shard-0", "shard-1")
+
+	uploadUser(t, client, routerAddr, core.MustScheme(256, 7), "alice", 1)
+	resp, err := client.Get("http://" + routerAddr + "/users/alice/neighbors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		t.Fatal("user vanished behind the router")
+	}
+}
+
+// TestRunShardedServes drives the sharded contract through a router in
+// front of three -role shard processes: uploads route to their owners, the
+// build fans out to every shard, /query scatter-gathers with full coverage
+// and merges in order, /stats carries the shards section, and a shard asked
+// directly about a user it does not own answers 421.
+func TestRunShardedServes(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := &http.Client{Timeout: 10 * time.Second}
+	routerAddr, _ := startCluster(t, ctx, client, "shard-0", "shard-1", "shard-2")
+	routerURL := "http://" + routerAddr
+
+	scheme := core.MustScheme(256, 7)
+	const n = 30
+	for i := 0; i < n; i++ {
+		uploadUser(t, client, routerAddr, scheme, fmt.Sprintf("u%d", i), i)
+	}
+
+	resp, err := client.Post(routerURL+"/graph/build?k=3&algo=bruteforce", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +500,7 @@ func TestRunShardedServes(t *testing.T) {
 	if err := core.WriteFingerprint(&qbuf, scheme.Fingerprint(profile.New(4, 12, 24, 1003))); err != nil {
 		t.Fatal(err)
 	}
-	qresp, err := client.Post("http://"+addr+"/query?k=5", "application/octet-stream", &qbuf)
+	qresp, err := client.Post(routerURL+"/query?k=5", "application/octet-stream", &qbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,20 +529,16 @@ func TestRunShardedServes(t *testing.T) {
 	}
 
 	// Neighbors read routes to the owner and answers like a single node.
-	nresp, err := client.Get("http://" + addr + "/users/u0/neighbors")
+	nresp, err := client.Get(routerURL + "/users/u0/neighbors")
 	if err != nil {
 		t.Fatal(err)
 	}
+	nresp.Body.Close()
 	if nresp.StatusCode != http.StatusOK {
 		t.Fatalf("neighbors via router: status %d", nresp.StatusCode)
 	}
-	nresp.Body.Close()
 
 	// /stats: router view with the shards section; user counts sum to n.
-	sresp, err := client.Get("http://" + addr + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var st struct {
 		Router bool `json:"router"`
 		Shards []struct {
@@ -454,10 +548,7 @@ func TestRunShardedServes(t *testing.T) {
 			Users int    `json:"users"`
 		} `json:"shards"`
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
+	getJSON(t, client, routerURL+"/stats", &st)
 	if !st.Router || len(st.Shards) != 3 {
 		t.Fatalf("router stats %+v, want router=true with 3 shards", st)
 	}
@@ -472,9 +563,9 @@ func TestRunShardedServes(t *testing.T) {
 		t.Errorf("shard user counts sum to %d, want %d", total, n)
 	}
 
-	// Misdirected request: find a user and a shard that does not own it and
-	// hit the shard-core directly — it must refuse with 421, not accept a
-	// write the router would never find again.
+	// Misdirected request: hit a shard directly with a user it does not
+	// own — it must refuse with 421 and name the owner, not accept a write
+	// the router would never find again.
 	misdirected := false
 	for i := 0; i < n && !misdirected; i++ {
 		id := fmt.Sprintf("u%d", i)
@@ -490,6 +581,9 @@ func TestRunShardedServes(t *testing.T) {
 			}
 			dresp.Body.Close()
 			if dresp.StatusCode == http.StatusMisdirectedRequest {
+				if owner := dresp.Header.Get("X-Owner-Shard"); owner == "" || owner == sh.Name {
+					t.Errorf("421 from %s for %s names owner %q", sh.Name, id, owner)
+				}
 				misdirected = true
 				break
 			}
@@ -499,138 +593,146 @@ func TestRunShardedServes(t *testing.T) {
 		t.Error("no shard answered 421 for a misrouted id; ownership is not enforced")
 	}
 
-	if resp, err := client.Get("http://" + addr + "/healthz"); err != nil {
+	hresp, err := client.Get(routerURL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
-	} else {
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("/healthz = %d, want 200", resp.StatusCode)
-		}
-		resp.Body.Close()
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz = %d, want 200", hresp.StatusCode)
 	}
 }
 
-// TestRunShardedRestartRecovers checks per-shard durability: each
-// shard-core persists under its own subdirectory of -data-dir and a
-// restarted sharded deployment recovers every user.
-func TestRunShardedRestartRecovers(t *testing.T) {
+// TestRoleShardRestartRecovers checks a shard process's durability at the
+// binary boundary: the users uploaded to a -role shard -data-dir process
+// and the ring it was pushed come back when it restarts under the same
+// name and dir, and the recovered ring is enforced before any router
+// re-pushes it.
+func TestRoleShardRestartRecovers(t *testing.T) {
 	dir := t.TempDir()
 	scheme := core.MustScheme(256, 7)
 	client := &http.Client{Timeout: 10 * time.Second}
 	const n = 12
+	shard := []string{"-role", "shard", "-name", "shard-0", "-data-dir", dir, "-fsync", "none"}
 
 	var logs1 bytes.Buffer
-	addr, shutdown := startServer(t, &logs1, "-shards", "2", "-data-dir", dir, "-fsync", "none")
+	addr, shutdown := startServer(t, &logs1, shard...)
 	for i := 0; i < n; i++ {
 		uploadUser(t, client, addr, scheme, fmt.Sprintf("u%d", i), i)
+	}
+	ring := `{"epoch":3,"mode":"stable","names":["shard-0","shard-1"]}`
+	resp, err := client.Post("http://"+addr+"/ring", "application/json", strings.NewReader(ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /ring: status %d", resp.StatusCode)
 	}
 	shutdown()
 
 	var logs2 bytes.Buffer
-	addr2, shutdown2 := startServer(t, &logs2, "-shards", "2", "-data-dir", dir, "-fsync", "none")
+	addr2, shutdown2 := startServer(t, &logs2, shard...)
 	defer shutdown2()
-	sresp, err := client.Get("http://" + addr2 + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []string{fmt.Sprintf("shard-0: recovered %d users", n), "shard-0: recovered ring epoch 3"} {
+		if !strings.Contains(logs2.String(), want) {
+			t.Errorf("restart log lacks %q:\n%s", want, logs2.String())
+		}
 	}
 	var st struct {
-		Shards []struct {
-			Users int `json:"users"`
-		} `json:"shards"`
+		Shard     string `json:"shard"`
+		Users     int    `json:"users"`
+		RingEpoch uint64 `json:"ring_epoch"`
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	getJSON(t, client, "http://"+addr2+"/stats", &st)
+	if st.Shard != "shard-0" || st.Users != n || st.RingEpoch != 3 {
+		t.Fatalf("restarted shard /stats = %+v, want shard-0 with %d users at ring epoch 3", st, n)
 	}
-	sresp.Body.Close()
-	total := 0
-	for _, sh := range st.Shards {
-		total += sh.Users
-	}
-	if total != n {
-		t.Fatalf("recovered %d users across shards, want %d (logs: %s)", total, n, logs2.String())
-	}
-}
-
-// startProc boots run() with the given args in a goroutine and returns the
-// bound address. The process shuts down when ctx is canceled.
-func startProc(t *testing.T, ctx context.Context, args ...string) string {
-	t.Helper()
-	addrCh := make(chan string, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- run(ctx, args, io.Discard, func(addr string) { addrCh <- addr })
-	}()
-	select {
-	case addr := <-addrCh:
-		return addr
-	case err := <-errCh:
-		t.Fatalf("run %v exited before ready: %v", args, err)
-	case <-time.After(10 * time.Second):
-		t.Fatalf("run %v did not become ready", args)
-	}
-	return ""
-}
-
-// TestRoleShardAndRouter boots one -role router and two -role shard
-// instances (in-process, but wired only over loopback HTTP exactly as
-// separate OS processes would be), lets the shards self-register, and
-// drives a mutation + read through the router.
-func TestRoleShardAndRouter(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	routerAddr := startProc(t, ctx, "-role", "router", "-addr", "127.0.0.1:0")
-	routerURL := "http://" + routerAddr
-	for _, name := range []string{"shard-0", "shard-1"} {
-		startProc(t, ctx, "-role", "shard", "-name", name,
-			"-addr", "127.0.0.1:0", "-bits", "256", "-join", routerURL)
-	}
-
-	// Both shards must appear in membership and the ring must settle.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(routerURL + "/cluster")
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("restarted shard accepted 100 fresh ids; the recovered ring is not enforced")
+		}
+		var buf bytes.Buffer
+		if err := core.WriteFingerprint(&buf, scheme.Fingerprint(profile.New(1, 2, 3))); err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("http://%s/users/x%d/fingerprint", addr2, i), &buf)
+		resp, err := client.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cv struct {
-			RingMode  string   `json:"ring_mode"`
-			RingNames []string `json:"ring_names"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&cv); err != nil {
-			t.Fatal(err)
-		}
 		resp.Body.Close()
-		if len(cv.RingNames) == 2 && cv.RingMode == "stable" {
+		if resp.StatusCode == http.StatusMisdirectedRequest {
+			if owner := resp.Header.Get("X-Owner-Shard"); owner != "shard-1" {
+				t.Errorf("421 names owner %q, want shard-1", owner)
+			}
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not settle: ring %v mode %s", cv.RingNames, cv.RingMode)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
+}
 
-	scheme := core.MustScheme(256, 7)
-	var buf bytes.Buffer
-	if err := core.WriteFingerprint(&buf, scheme.Fingerprint(profile.New(1, 2, 3))); err != nil {
-		t.Fatal(err)
+// syncBuffer is a bytes.Buffer safe for a logger writing from another
+// goroutine while the test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestJoinLoopOutlivesStalledRouter: a router that accepts the join and
+// then never answers costs the shard one bounded attempt, not its join
+// loop — the shard retries and joins once the router answers.
+func TestJoinLoopOutlivesStalledRouter(t *testing.T) {
+	if joinAttemptTimeout <= 3*time.Second {
+		t.Fatalf("joinAttemptTimeout %s must exceed the router's 3s synchronous ring push", joinAttemptTimeout)
 	}
-	req, _ := http.NewRequest(http.MethodPut, routerURL+"/users/alice/fingerprint", strings.NewReader(buf.String()))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	var joins atomic.Int32
+	release := make(chan struct{})
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if joins.Add(1) == 1 {
+			select { // stall the first join until the shard gives up on it
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer stub.Close()
+	defer close(release)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var logs syncBuffer
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		joinLoop(ctx, stub.URL, "shard-0", "http://127.0.0.1:1", 200*time.Millisecond, log.New(&logs, "", 0))
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(logs.String(), "joined cluster") {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard never joined after a stalled attempt; log:\n%s", logs.String())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT via router: status %d", resp.StatusCode)
+	cancel()
+	<-done
+	if got := joins.Load(); got != 2 {
+		t.Errorf("router saw %d joins, want the stalled one and the answered retry", got)
 	}
-	resp, err = http.Get(routerURL + "/users/alice/neighbors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		t.Fatal("user vanished behind the router")
+	if !strings.Contains(logs.String(), "(retrying)") {
+		t.Errorf("the abandoned attempt was not logged as a retry:\n%s", logs.String())
 	}
 }

@@ -31,7 +31,7 @@ func TestBuildClusterAlgorithm(t *testing.T) {
 	if ep.clusters == nil || len(ep.clusters.Views) == 0 {
 		t.Fatal("cluster epoch carries no assignment")
 	}
-	if err := ep.graph.Validate(); err != nil {
+	if err := srv.view.Load().live.Graph().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,15 +82,16 @@ func TestQuerySeedsHelper(t *testing.T) {
 	}
 	resp, _ := buildGraph(t, ts, "?k=3&algo=cluster")
 	resp.Body.Close()
-	ep := srv.view.Load().epoch
+	v := srv.view.Load()
 	fp := scheme.Fingerprint(queryProfile(7))
-	seeds := querySeeds(ep, fp, len(ep.users))
+	n := v.live.NumNodes()
+	seeds := querySeeds(v.epoch, fp, n)
 	if len(seeds) == 0 {
 		t.Fatal("cluster epoch produced no query seeds")
 	}
 	for _, s := range seeds {
-		if s < 0 || int(s) >= len(ep.users) {
-			t.Fatalf("seed %d out of range [0,%d)", s, len(ep.users))
+		if s < 0 || int(s) >= n {
+			t.Fatalf("seed %d out of range [0,%d)", s, n)
 		}
 	}
 
@@ -123,7 +124,7 @@ func TestSetClusterConfigPlumbing(t *testing.T) {
 			}
 		}
 	}
-	if err := ep.graph.Validate(); err != nil {
+	if err := srv.view.Load().live.Graph().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -107,26 +107,23 @@ func (v *ringView) ownerOf(id string) string {
 
 // acceptsID decides whether this shard serves the id, and names the
 // owning shard (plus the ring epoch) when a ring is installed so the 421
-// path can say who should have been asked. With no ring installed the
-// legacy owns predicate (SetShard) applies; with neither, every id is
-// accepted — the single-node default.
+// path can say who should have been asked. With no ring installed every
+// id is accepted — the single-node default.
 func (s *Server) acceptsID(id string) (ok bool, owner string, epoch uint64) {
-	if rv := s.ring.Load(); rv != nil {
-		owner = rv.ownerOf(id)
-		if owner == rv.self {
-			return true, owner, rv.info.Epoch
-		}
-		if rv.prev != nil && rv.prev.OwnerName(rv.info.PrevNames, id) == rv.self {
-			// Transition window: still accepting what the old ring gave us
-			// (reads route here until cutover; the export stream needs it).
-			return true, owner, rv.info.Epoch
-		}
-		return false, owner, rv.info.Epoch
+	rv := s.ring.Load()
+	if rv == nil {
+		return true, "", 0
 	}
-	if s.owns != nil && !s.owns(id) {
-		return false, "", 0
+	owner = rv.ownerOf(id)
+	if owner == rv.self {
+		return true, owner, rv.info.Epoch
 	}
-	return true, "", 0
+	if rv.prev != nil && rv.prev.OwnerName(rv.info.PrevNames, id) == rv.self {
+		// Transition window: still accepting what the old ring gave us
+		// (reads route here until cutover; the export stream needs it).
+		return true, owner, rv.info.Epoch
+	}
+	return false, owner, rv.info.Epoch
 }
 
 // InstallRing validates and installs a placement ring. Same-epoch

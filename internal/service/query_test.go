@@ -10,20 +10,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"goldfinger/internal/core"
+	"goldfinger/internal/durable"
 	"goldfinger/internal/knn"
 	"goldfinger/internal/profile"
 )
-
-// installEpoch publishes a frozen epoch (no online maintainer) the way a
-// build publish would.
-func installEpoch(srv *Server, ep *graphEpoch) {
-	srv.writeMu.Lock()
-	defer srv.writeMu.Unlock()
-	srv.installEpoch(ep)
-}
 
 // queryProfile builds an overlapping-item profile so every test user has
 // non-zero similarity to its index neighbors.
@@ -149,49 +145,80 @@ func TestQueryAutoLiveEpochServesNewUser(t *testing.T) {
 	}
 }
 
-// TestQueryAutoStaleEpochFallsBackToScan keeps the genuine-staleness rule
-// covered: when the served epoch honestly lags the mutation counter (here:
-// a frozen test-installed epoch with no online maintainer), auto falls
-// back to the scan so new users stay findable.
-func TestQueryAutoStaleEpochFallsBackToScan(t *testing.T) {
-	srv, ts, scheme := newInstrumentedServer(t)
-	const n = 12
-	users := make([]string, n)
-	profiles := make([]profile.Profile, n)
+// newLaggingServer serves what a crash leaves behind when it tears the
+// graph-delta tail: n users and a build were persisted, then one more
+// upload ("late") was acked and its graph delta — the WAL's last record —
+// lost its final byte. Recovery keeps the upload but not the delta, so the
+// recovered epoch's maintainer resumes one mutation behind the state.
+func newLaggingServer(t *testing.T, n int, late profile.Profile) (*Server, *httptest.Server, *core.Scheme) {
+	t.Helper()
+	dir := t.TempDir()
+	ts1, _, _, scheme := newDurableServer(t, dir, durable.OSFS{})
 	for i := 0; i < n; i++ {
-		users[i] = "u" + itoa(i)
-		profiles[i] = queryProfile(i)
-		putFingerprint(t, ts, scheme, users[i], profiles[i]).Body.Close()
+		putFingerprint(t, ts1, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	g, _ := knn.BruteForce(knn.NewSHFProvider(scheme, profiles), 2, knn.Options{})
-	mutSeq := srv.view.Load().mutSeq
-	installEpoch(srv, &graphEpoch{
-		seq:    srv.epochSeq.Add(1),
-		graph:  g,
-		nav:    g.Navigable(nil),
-		users:  users,
-		k:      2,
-		mutSeq: mutSeq,
-	})
+	resp, _ := buildGraph(t, ts1, "?k=2&algo=bruteforce")
+	resp.Body.Close()
+	putFingerprint(t, ts1, scheme, "late", late).Body.Close()
+	ts1.Close() // the store is abandoned, not closed: a crash
 
-	// The frozen epoch matches the state: auto serves the graph.
-	if _, served, _ := postQuery(t, ts, scheme, queryProfile(0), "?k=1"); served != "graph" {
-		t.Fatalf("matching frozen epoch served %q, want graph", served)
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment in %s: %v", dir, err)
+	}
+	active := segs[len(segs)-1]
+	fi, err := os.Stat(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(active, fi.Size()-1); err != nil {
+		t.Fatal(err)
 	}
 
-	// An upload the frozen epoch cannot absorb makes it genuinely stale:
-	// auto must fall back to the scan, which sees the new user.
+	st, rec, err := durable.Open(durable.Options{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Epoch == nil || rec.Epoch.MutSeq != uint64(n) || rec.State.MutSeq != uint64(n+1) {
+		t.Fatalf("recovery did not lag as a torn delta tail leaves it: epoch %+v, state mutSeq %d", rec.Epoch, rec.State.MutSeq)
+	}
+	srv, err := NewServer(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.UseStore(st, rec); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts, scheme
+}
+
+// TestQueryAutoStaleEpochFallsBackToScan keeps the genuine-staleness rule
+// covered in the shape production reaches it: a recovered epoch whose
+// delta tail was torn lags the recovered state. It reports itself stale,
+// auto queries scan so the post-epoch user stays findable, explicit graph
+// mode serves only the epoch's users, /neighbors answers 409 for the user
+// the graph never saw, and a further mutation is counted as stale rather
+// than applied — until the next build drains the lag away.
+func TestQueryAutoStaleEpochFallsBackToScan(t *testing.T) {
+	const n = 12
 	late := profile.New(900, 901, 902, 903)
-	putFingerprint(t, ts, scheme, "late", late).Body.Close()
+	srv, ts, scheme := newLaggingServer(t, n, late)
+
+	if st := getStats(t, ts); !st.GraphBuilt || !st.GraphStale || st.GraphLive || st.Users != n+1 || st.EpochUsers != n {
+		t.Fatalf("lagging epoch stats = %+v, want built, stale, not live, %d users over a %d-node graph", st, n+1, n)
+	}
+
 	got, served, _ := postQuery(t, ts, scheme, late, "?k=1")
 	if served != "scan" {
-		t.Errorf("stale frozen epoch: auto served %q, want scan", served)
+		t.Errorf("stale epoch: auto served %q, want scan", served)
 	}
 	if len(got) != 1 || got[0].User != "late" {
 		t.Errorf("post-epoch user not found by auto query: %+v", got)
 	}
 
-	// Explicit graph mode still serves the old epoch: "late" is invisible.
+	// Explicit graph mode still serves the lagging epoch: "late" is invisible.
 	got, served, _ = postQuery(t, ts, scheme, late, "?k=20&mode=graph")
 	if served != "graph" && served != "scan-fallback" {
 		t.Fatalf("explicit graph on stale epoch served %q", served)
@@ -203,6 +230,33 @@ func TestQueryAutoStaleEpochFallsBackToScan(t *testing.T) {
 			}
 		}
 	}
+
+	if status, _ := getNeighborList(t, ts, "late"); status != http.StatusConflict {
+		t.Errorf("neighbors of the post-epoch user: status %d, want 409", status)
+	}
+	status, before := getNeighborList(t, ts, "u0")
+	if status != http.StatusOK || len(before) == 0 {
+		t.Fatalf("neighbors of an epoch user: status %d, %d entries, want 200 with edges", status, len(before))
+	}
+
+	// A further mutation is accepted but not applied to the lagging graph:
+	// rewiring u0 onto a fresh profile leaves its edges as they were.
+	putFingerprint(t, ts, scheme, "u0", profile.New(910, 911, 912, 913)).Body.Close()
+	if c := srv.obs.Counter(metricMutStale).Value(); c != 1 {
+		t.Errorf("%s = %d after one mutation on a lagging epoch, want 1", metricMutStale, c)
+	}
+	if _, after := getNeighborList(t, ts, "u0"); !slices.Equal(after, before) {
+		t.Errorf("lagging graph rewired u0: %+v, was %+v", after, before)
+	}
+
+	resp, _ := buildGraph(t, ts, "?k=2&algo=bruteforce")
+	resp.Body.Close()
+	if st := getStats(t, ts); st.GraphStale || !st.GraphLive || st.EpochUsers != n+1 {
+		t.Fatalf("stats after the healing build = %+v", st)
+	}
+	if _, served, _ := postQuery(t, ts, scheme, late, "?k=1"); served != "graph" {
+		t.Errorf("after the healing build auto served %q, want graph", served)
+	}
 }
 
 // TestQueryGraphIsolatedNodesFallBackToScan: a graph whose descent cannot
@@ -212,23 +266,24 @@ func TestQueryAutoStaleEpochFallsBackToScan(t *testing.T) {
 func TestQueryGraphIsolatedNodesFallBackToScan(t *testing.T) {
 	srv, ts, scheme := newInstrumentedServer(t)
 	const n = 30
-	users := make([]string, n)
 	for i := 0; i < n; i++ {
-		users[i] = "u" + itoa(i)
-		putFingerprint(t, ts, scheme, users[i], queryProfile(i)).Body.Close()
+		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	// Install an epoch whose graph is valid but edgeless: only the seed
-	// nodes are reachable, so any k above the seed count comes back short.
+	// Publish, as a build does, a live epoch current with the state whose
+	// graph is valid but edgeless: only the seed nodes are reachable, so
+	// any k above the seed count comes back short.
+	srv.writeMu.Lock()
+	next := *srv.view.Load()
 	edgeless := &knn.Graph{K: 2, Neighbors: make([][]knn.Neighbor, n)}
-	mutSeq := srv.view.Load().mutSeq
-	installEpoch(srv, &graphEpoch{
-		seq:    srv.epochSeq.Add(1),
-		graph:  edgeless,
-		nav:    edgeless.Navigable(nil),
-		users:  users,
-		k:      2,
-		mutSeq: mutSeq,
-	})
+	online, err := knn.NewOnline(edgeless, nil, corpusRows(next.corpus, n), nil, 2, next.mutSeq)
+	if err != nil {
+		srv.writeMu.Unlock()
+		t.Fatal(err)
+	}
+	next.epoch = &graphEpoch{seq: srv.epochSeq.Add(1), k: 2, online: online}
+	next.live = online.Snapshot()
+	srv.view.Store(&next)
+	srv.writeMu.Unlock()
 
 	got, served, status := postQuery(t, ts, scheme, queryProfile(4), "?k=20")
 	if status != http.StatusOK {

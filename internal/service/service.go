@@ -23,9 +23,8 @@
 // when it is complete, before the ack. Publication therefore costs O(rows
 // touched): nothing is ever re-packed, the first query after a mutation
 // costs what any other query costs, and concurrent readers never race to
-// rebuild anything. The id → index map and the uploaded fingerprints (the
-// maintainer's similarity oracle) are the only state outside the view; a
-// short RWMutex guards them.
+// rebuild anything. The id → index map is the only state outside the view;
+// a short RWMutex guards it.
 //
 // A build reads the view current at its start, runs the KNN algorithm
 // entirely outside any lock, and publishes the result as a new epoch.
@@ -138,18 +137,11 @@ import (
 	"goldfinger/internal/obs"
 )
 
-// graphEpoch is one immutable build result: the graph plus the user table
-// and parameters it was built from. Readers find the current epoch in the
-// view they load and never block builds or uploads.
+// graphEpoch is one build (or recovery) result: its parameters and the
+// maintainer that carries its graph forward. Readers find the current epoch
+// in the view they load and never block builds or uploads.
 type graphEpoch struct {
-	seq   int64 // monotonically increasing build number (1-based)
-	graph *knn.Graph
-	// nav is graph.Navigable(provider), precomputed once per epoch: /query
-	// descends the symmetrized, diversity-pruned adjacency (directed KNN
-	// edges alone leave hub-dominated regions unreachable and tank recall;
-	// uncapped reverse edges turn hub expansion into a partial scan).
-	nav   *knn.Graph
-	users []string // user table snapshot the graph indices refer to
+	seq int64 // monotonically increasing build number (1-based)
 	// clusters is the fingerprint-hash bucketing a cluster build derived
 	// (nil for other algorithms and for recovered epochs): /query reuses
 	// its hashes to pick graph-search entry points near the query instead
@@ -160,14 +152,12 @@ type graphEpoch struct {
 	builtAt   time.Time
 	duration  time.Duration
 	stats     knn.Stats
-	mutSeq    uint64 // mutation counter value the epoch started from
-	// online maintains the epoch's graph under mutations: inserts, over-
-	// writes and deletes apply to it in mutSeq order (under writeMu), and
-	// every read path serves the snapshot published in its view. Node ids are
-	// dense server indices — identical to the user-table indices — so the
-	// snapshot's graph indexes the append-only user table directly. nil
-	// only for epochs installed directly by tests; those serve the frozen
-	// graph/nav fields under the old pinned-epoch contract.
+	// online maintains the epoch's graph and its navigable adjacency under
+	// mutations: inserts, overwrites and deletes apply to it in mutSeq order
+	// (under writeMu), and every read path serves the snapshot published in
+	// its view. Node ids are dense server indices — identical to the
+	// user-table indices — so the snapshot's graph indexes the append-only
+	// user table directly. Never nil.
 	online *knn.Online
 }
 
@@ -179,14 +169,12 @@ type Server struct {
 	// Replaced only under writeMu (view.go).
 	view atomic.Pointer[view]
 
-	// index and fps are the mutable state outside the view: the id → dense
-	// index map and the uploaded fingerprints (index-aligned with the
-	// view's user table, possibly one in-flight mutation ahead of it).
-	// They change only under writeMu and mu together, so a writer holding
-	// writeMu reads them without mu; everyone else takes mu.
+	// index is the mutable state outside the view: the id → dense index
+	// map, possibly one in-flight mutation ahead of the view's user table.
+	// It changes only under writeMu and mu together, so a writer holding
+	// writeMu reads it without mu; everyone else takes mu.
 	mu    sync.RWMutex
 	index map[string]int
-	fps   []core.Fingerprint
 
 	building atomic.Bool // build-in-progress guard
 	epochSeq atomic.Int64
@@ -220,20 +208,18 @@ type Server struct {
 	// before the algorithm starts. Test instrumentation only.
 	buildHook func()
 
-	// shardName / owns, when set via SetShard, make this server one
-	// shard-core of a sharded deployment: it reports the shard name in
-	// /stats and answers 421 Misdirected Request for user ids the
-	// placement does not assign to it — a misrouted mutation must fail
-	// loudly instead of splitting a user across shards.
+	// shardName, when set via SetShardName, makes this server one
+	// shard-core of a sharded deployment: it reports the name in /stats and
+	// is the owner name the installed ring is resolved against.
 	shardName string
-	owns      func(id string) bool
 
 	// ring is the installed placement-ring view (InstallRing or POST
-	// /ring): a named, epoch-versioned ownership map that supersedes the
-	// owns predicate, carries the correct owner for X-Owner-Shard on 421s,
-	// and — in transition mode — dual-accepts ids under both the old and
-	// new ring while a migration is streaming. nil until a ring is
-	// installed.
+	// /ring): a named, epoch-versioned ownership map. Ids it does not
+	// assign to this shard are answered 421 Misdirected Request with the
+	// correct owner in X-Owner-Shard — a misrouted mutation must fail
+	// loudly instead of splitting a user across shards — and in transition
+	// mode it dual-accepts ids under both the old and new ring while a
+	// migration is streaming. nil until a ring is installed.
 	ring   atomic.Pointer[ringView]
 	onRing func(RingInfo) // optional install hook (persistence); set before serving
 
@@ -280,22 +266,11 @@ func (s *Server) SetAdmission(cfg admit.Config) {
 	s.admit = admit.NewController(cfg, s.obs)
 }
 
-// SetShard turns this server into one shard-core of a sharded deployment:
-// name labels it in /stats, and owns is the ownership predicate derived
-// from the router's placement. Requests for /users/{id}/... with an id the
-// shard does not own are answered 421 Misdirected Request before
-// admission. Must be called before the handler serves traffic. A nil owns
-// accepts every id (the single-node default).
-func (s *Server) SetShard(name string, owns func(id string) bool) {
-	s.shardName = name
-	s.owns = owns
-}
-
-// SetShardName names this shard-core without installing an ownership
-// predicate: a process started in -role shard mode knows its own name
-// from its flags but learns the ring later, via POST /ring from the
-// router. Until a ring arrives the shard accepts every id. Must be called
-// before the handler serves traffic.
+// SetShardName names this shard-core: a process started in -role shard
+// mode knows its own name from its flags but learns the ring later, via
+// POST /ring from the router (or InstallRing). Until a ring arrives the
+// shard accepts every id. Must be called before the handler serves
+// traffic.
 func (s *Server) SetShardName(name string) { s.shardName = name }
 
 // SetRingHook registers a callback invoked after every successful ring
@@ -404,7 +379,6 @@ func (s *Server) UseStore(st *durable.Store, rec durable.Recovery) error {
 	}
 	s.mu.Lock()
 	s.index = index
-	s.fps = append([]core.Fingerprint(nil), rec.State.FPS...)
 	s.mu.Unlock()
 	s.store = st
 	if rec.Migration != nil {
@@ -432,21 +406,17 @@ func (s *Server) UseStore(st *durable.Store, rec durable.Recovery) error {
 		// next build. The fingerprint prefix may be newer than the graph's
 		// edges in the stale case — harmless: it only feeds *future*
 		// mutations, which a lagging maintainer never receives.
-		online, oerr := knn.NewOnline(ep.Graph, nav, rec.State.FPS[:len(ep.Users)], ep.Dead, ep.K, ep.MutSeq)
+		online, oerr := knn.NewOnline(ep.Graph, nav, corpusRows(corpus, len(ep.Users)), ep.Dead, ep.K, ep.MutSeq)
 		if oerr != nil {
 			return fmt.Errorf("service: recovered epoch rejected by online maintainer: %w", oerr)
 		}
 		v.epoch = &graphEpoch{
 			seq:       ep.Seq,
-			graph:     ep.Graph,
-			nav:       nav,
-			users:     ep.Users,
 			k:         ep.K,
 			algorithm: ep.Algorithm,
 			builtAt:   ep.BuiltAt,
 			duration:  ep.Duration,
 			stats:     ep.Stats,
-			mutSeq:    ep.MutSeq,
 			online:    online,
 		}
 		v.live = online.Snapshot()
@@ -666,7 +636,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // Stats is the /stats response.
 type Stats struct {
 	// Shard is the shard-core's name when the server runs behind the
-	// router tier (SetShard); empty for a single-node deployment.
+	// router tier (SetShardName); empty for a single-node deployment.
 	Shard string `json:"shard,omitempty"`
 
 	// Ring observability: the installed placement-ring epoch and mode
@@ -684,11 +654,12 @@ type Stats struct {
 	GraphBuilt bool `json:"graph_built"`
 	GraphStale bool `json:"graph_stale"`
 
-	// Online-graph observability: GraphLive reports that the served epoch
-	// has an online maintainer tracking the state (mutations apply to the
-	// graph before they are acked, so GraphStale stays false under
-	// churn); OnlineNodes/OnlineLive are its total and non-tombstoned node
-	// counts, DeletedUsers the state-level tombstone count.
+	// Online-graph observability: GraphLive reports that the served
+	// epoch's maintainer tracks the state (mutations apply to the graph
+	// before they are acked, so GraphStale stays false under churn; only a
+	// recovered epoch whose delta tail was lost lags); OnlineNodes/
+	// OnlineLive are its total and non-tombstoned node counts, DeletedUsers
+	// the state-level tombstone count.
 	GraphLive    bool `json:"graph_live,omitempty"`
 	OnlineNodes  int  `json:"online_nodes,omitempty"`
 	OnlineLive   int  `json:"online_live,omitempty"`
@@ -781,14 +752,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.GraphK = ep.k
 		st.GraphBuilt = true
 		st.Epoch = ep.seq
-		nodes, seq := v.graphNodes()
-		st.EpochUsers = nodes
-		st.GraphStale = v.mutSeq != seq
-		if v.live != nil {
-			st.GraphLive = !st.GraphStale
-			st.OnlineNodes = nodes
-			st.OnlineLive = v.live.Live
-		}
+		st.EpochUsers = v.live.NumNodes()
+		st.GraphStale = v.mutSeq != v.live.Seq
+		st.GraphLive = !st.GraphStale
+		st.OnlineNodes = st.EpochUsers
+		st.OnlineLive = v.live.Live
 		st.Algorithm = ep.algorithm
 		st.BuildDurationMS = float64(ep.duration) / float64(time.Millisecond)
 		st.Comparisons = ep.stats.Comparisons
@@ -814,14 +782,12 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 	if ok, owner, epoch := s.acceptsID(id); !ok {
 		// Misrouted id: this shard-core does not own the user. Answered
 		// before admission — accepting it would silently split the user
-		// across shards and the router could never find it again. When the
-		// shard holds a named ring it says who *does* own the id, so the
-		// router (placement-drift counter + one redirect) and external
-		// clients can correct course instead of guessing.
-		if owner != "" {
-			w.Header().Set(HeaderOwnerShard, owner)
-			w.Header().Set(HeaderRingEpoch, strconv.FormatUint(epoch, 10))
-		}
+		// across shards and the router could never find it again. The ring
+		// says who *does* own the id, so the router (placement-drift counter
+		// + one redirect) and external clients can correct course instead of
+		// guessing.
+		w.Header().Set(HeaderOwnerShard, owner)
+		w.Header().Set(HeaderRingEpoch, strconv.FormatUint(epoch, 10))
 		httpError(w, http.StatusMisdirectedRequest,
 			"user %q is not owned by shard %s", id, s.shardName)
 		return
@@ -994,11 +960,7 @@ const (
 	// Per-mode query observability: how many queries each mode served,
 	// how often the graph path fell back to a scan (short result: isolated
 	// or unreachable nodes), per-mode latency histograms, and gauges of
-	// the last graph search's depth and oracle work. query.graph.scored
-	// counts every row the search scored; query.graph.abandoned counts
-	// only proofs returned by a per-node oracle (knn.SearchStats), and the
-	// handler's core.QueryScorer is scored in batches that abandon
-	// nothing, so it reads 0 here.
+	// the last graph search's depth and of the rows it scored.
 	metricQueryScan      = "query.mode.scan.total"
 	metricQueryGraph     = "query.mode.graph.total"
 	metricQueryFallback  = "query.graph.fallback.total"
@@ -1006,7 +968,6 @@ const (
 	metricQueryGraphSecs = "query.graph.seconds"
 	metricQueryHops      = "query.graph.hops"
 	metricQueryScored    = "query.graph.scored"
-	metricQueryAbandoned = "query.graph.abandoned"
 )
 
 // HeaderQueryMode is the response header naming how a /query was actually
@@ -1198,7 +1159,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	pendingOps := cur.users.Len() - len(users) + len(overwrites) + len(deletes)
-	online, oerr := knn.NewOnline(g, nav, append([]core.Fingerprint(nil), s.fps[:len(users)]...), nil, k,
+	online, oerr := knn.NewOnline(g, nav, corpusRows(cur.corpus, len(users)), nil, k,
 		cur.mutSeq-uint64(pendingOps))
 	if oerr != nil {
 		s.writeMu.Unlock()
@@ -1206,10 +1167,10 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i := len(users); i < cur.users.Len(); i++ {
-		online.Insert(s.fps[i])
+		online.Insert(cur.corpus.Fingerprint(i))
 	}
 	for _, i := range overwrites {
-		online.Overwrite(i, s.fps[i])
+		online.Overwrite(i, cur.corpus.Fingerprint(int(i)))
 	}
 	for _, i := range deletes {
 		online.Delete(i)
@@ -1217,19 +1178,17 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 
 	ep := &graphEpoch{
 		seq:       s.epochSeq.Add(1),
-		graph:     g,
-		nav:       nav,
-		users:     users,
 		clusters:  clusters,
 		k:         k,
 		algorithm: algo,
 		builtAt:   start,
 		duration:  duration,
 		stats:     stats,
-		mutSeq:    cur.mutSeq,
 		online:    online,
 	}
-	s.installEpoch(ep)
+	next := *cur
+	next.epoch, next.live = ep, online.Snapshot()
+	s.view.Store(&next)
 	s.obs.Gauge(metricEpoch).Set(ep.seq)
 	s.obs.Histogram(metricBuildSecs, obs.DefTimeBuckets).Observe(duration.Seconds())
 
@@ -1240,8 +1199,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	// succeeded — report it in the response-independent durable error
 	// channel, not as a build failure.
 	if s.store != nil {
-		v := s.view.Load()
-		ed := v.epochData(v.users.Flat())
+		ed := next.epochData(next.users.Flat())
 		if err := s.store.SaveEpoch(*ed); err != nil && !errors.Is(err, durable.ErrDegraded) {
 			s.obs.SetText(metricDurableError, err.Error())
 		}
@@ -1284,37 +1242,29 @@ func (s *Server) getNeighbors(w http.ResponseWriter, r *http.Request, id string)
 		httpError(w, http.StatusGone, "user %q deleted its fingerprint", id)
 		return
 	}
-	ep := v.epoch
-	if ep == nil {
+	if v.epoch == nil {
 		httpError(w, http.StatusConflict, "graph not built; POST /graph/build first")
 		return
 	}
 
-	// Serve the live graph when the epoch has a maintainer (mutations since
-	// the build are already in it); fall back to the frozen build result for
-	// directly-installed epochs. The user table is append-only, so an index
-	// below the served graph's node count always refers to the same user the
-	// edges point at; an index at or past it means the graph epoch genuinely
-	// lags the state (recovery lost its delta tail, or the epoch predates
-	// online maintenance) and the old pinned-epoch contract applies.
-	if nodes, _ := v.graphNodes(); i >= nodes {
+	// Serve the live graph: mutations since the build are already in it.
+	// The user table is append-only, so an index below the served graph's
+	// node count always refers to the same user the edges point at; an
+	// index at or past it means the graph genuinely lags the state
+	// (recovery lost its delta tail) and stays so until the next build.
+	if i >= v.live.NumNodes() {
 		httpError(w, http.StatusConflict,
-			"user %q is not yet in the served graph (epoch %d lags the state); POST /graph/build to include it", id, ep.seq)
+			"user %q is not yet in the served graph (epoch %d lags the state); POST /graph/build to include it", id, v.epoch.seq)
 		return
 	}
-	var nbrs []knn.Neighbor
-	if v.live != nil {
-		nbrs = v.live.Neighbors(int32(i))
-	} else {
-		nbrs = ep.graph.Neighbors[i]
-	}
+	nbrs := v.live.Neighbors(int32(i))
 
 	// Name the edges from the view's table (indices are stable) and drop
 	// edges to users deleted since the edge was recorded: the maintainer
 	// purges dead in-edges lazily, and a lagging epoch cannot know at all.
 	out := make([]NeighborJSON, 0, len(nbrs))
 	for _, nb := range nbrs {
-		if v.deleted.At(int(nb.ID)) || (v.live != nil && v.live.Dead(nb.ID)) {
+		if v.deleted.At(int(nb.ID)) || v.live.Dead(nb.ID) {
 			continue
 		}
 		out = append(out, NeighborJSON{User: v.users.At(int(nb.ID)), Similarity: nb.Sim})
@@ -1358,22 +1308,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	v := s.view.Load()
 
 	// Mode selection. The graph path navigates the served epoch's KNN
-	// graph instead of scanning all n rows. With an online-maintained
-	// epoch the graph already contains every mutation up to its sequence
-	// number, so auto picks it whenever that sequence matches the view's —
-	// which, mutations being applied live, is the steady state, not the
-	// just-built special case. Only an epoch that genuinely lags (recovery
-	// lost its delta tail; directly-installed test epochs use their frozen
-	// build sequence) sends auto to the scan. An explicit mode=graph serves
-	// the (possibly lagging) graph's user set and is the caller's statement
-	// that approximate-but-fast beats exact-but-O(n).
+	// graph instead of scanning all n rows. The epoch's graph already
+	// contains every mutation up to its sequence number, so auto picks it
+	// whenever that sequence matches the view's — which, mutations being
+	// applied live, is the steady state, not the just-built special case.
+	// Only an epoch that genuinely lags (recovery lost its delta tail)
+	// sends auto to the scan. An explicit mode=graph serves the (possibly
+	// lagging) graph's user set and is the caller's statement that
+	// approximate-but-fast beats exact-but-O(n).
 	ep := v.epoch
 	if mode == "graph" && ep == nil {
 		httpError(w, http.StatusConflict, "graph not built; POST /graph/build first or use mode=scan")
 		return
 	}
-	epNodes, epSeq := v.graphNodes()
-	useGraph := ep != nil && (mode == "graph" || (mode == "auto" && epSeq == v.mutSeq))
+	useGraph := ep != nil && (mode == "graph" || (mode == "auto" && v.live.Seq == v.mutSeq))
 
 	// Both paths run under the request context (class deadline, client
 	// X-Request-Timeout, client disconnect): a caller nobody is waiting on
@@ -1386,27 +1334,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var err error
 	served := "scan"
 	if useGraph {
-		opts := knn.SearchOptions{Ctx: r.Context(), Seeds: querySeeds(ep, fp, epNodes), Exclude: v.excluded()}
-		var (
-			kEff   int
-			res    []knn.Neighbor
-			sstats knn.SearchStats
-			serr   error
-		)
-		if v.live != nil {
-			kEff = min(k, v.live.Live)
-			res, sstats, serr = v.live.Search(corpus.NewQueryScorer(fp), kEff, opts)
-		} else {
-			kEff = min(k, epNodes)
-			res, sstats, serr = knn.GraphSearch(ep.nav, corpus.NewQueryScorer(fp), kEff, opts)
-		}
+		opts := knn.SearchOptions{Ctx: r.Context(), Seeds: querySeeds(ep, fp, v.live.NumNodes()), Exclude: v.excluded()}
+		kEff := min(k, v.live.Live)
+		res, sstats, serr := v.live.Search(corpus.NewQueryScorer(fp), kEff, opts)
 		if serr != nil {
 			s.queryAborted(w, serr)
 			return
 		}
 		s.obs.Gauge(metricQueryHops).Set(int64(sstats.Hops))
 		s.obs.Gauge(metricQueryScored).Set(int64(sstats.Scored))
-		s.obs.Gauge(metricQueryAbandoned).Set(int64(sstats.Abandoned))
 		if len(res) < kEff {
 			// The descent could not reach k distinct nodes (isolated
 			// nodes, disconnected clusters): deliver the scan's exact

@@ -35,8 +35,8 @@ type view struct {
 	mutSeq  uint64             // accepted mutations so far; WAL records carry it
 	// epoch is the served graph epoch (nil before the first build or
 	// recovery); live is its maintainer's snapshot as of mutSeq — or of an
-	// earlier sequence number when the epoch lags the state — and nil for
-	// epochs without a maintainer.
+	// earlier sequence number when the epoch lags the state — and nil
+	// exactly when epoch is.
 	epoch *graphEpoch
 	live  *knn.OnlineSnapshot
 }
@@ -55,26 +55,26 @@ func newView(bits int) (*view, error) {
 	}, nil
 }
 
-// graphNodes returns the served graph's node count and the mutation
-// sequence number it reflects; (0, 0) without an epoch.
-func (v *view) graphNodes() (nodes int, seq uint64) {
-	switch {
-	case v.live != nil:
-		return v.live.NumNodes(), v.live.Seq
-	case v.epoch != nil:
-		return len(v.epoch.users), v.epoch.mutSeq
+// corpusRows returns zero-copy views of c's first n rows: the similarity
+// oracle an online maintainer is seeded with, and the fingerprints a
+// compaction persists. A published row is never written in place, so each
+// view holds exactly the uploaded fingerprint for as long as it is held.
+func corpusRows(c *core.PackedCorpus, n int) []core.Fingerprint {
+	fps := make([]core.Fingerprint, n)
+	for i := range fps {
+		fps[i] = c.Fingerprint(i)
 	}
-	return 0, 0
+	return fps
 }
 
-// excluded returns the predicate a graph search must not return nodes of,
-// nil when there is none. Tombstoned users must not appear in results;
-// they are still traversed — a dead hub keeps bridging its region. A
-// current graph's tombstones are the state's; a lagging graph cannot know
-// about later deletes, nor the state about nodes the graph alone still
-// holds dead, so then either flag excludes.
+// excluded returns the predicate a graph search over v.live must not
+// return nodes of, nil when there is none. Tombstoned users must not
+// appear in results; they are still traversed — a dead hub keeps bridging
+// its region. A current graph's tombstones are the state's; a lagging
+// graph cannot know about later deletes, nor the state about nodes the
+// graph alone still holds dead, so then either flag excludes.
 func (v *view) excluded() func(x int32) bool {
-	lagging := v.live != nil && v.live.Seq != v.mutSeq
+	lagging := v.live.Seq != v.mutSeq
 	if v.dead == 0 && !lagging {
 		return nil
 	}
@@ -83,17 +83,6 @@ func (v *view) excluded() func(x int32) bool {
 		return func(x int32) bool { return deleted[x>>tableShift][x&(1<<tableShift-1)] }
 	}
 	return func(x int32) bool { return deleted[x>>tableShift][x&(1<<tableShift-1)] || v.live.Dead(x) }
-}
-
-// installEpoch publishes ep as the served epoch over the current state.
-// Callers hold writeMu.
-func (s *Server) installEpoch(ep *graphEpoch) {
-	v := *s.view.Load()
-	v.epoch, v.live = ep, nil
-	if ep.online != nil {
-		v.live = ep.online.Snapshot()
-	}
-	s.view.Store(&v)
 }
 
 // logMutation appends one record to the WAL — a put or delete before it is
@@ -147,14 +136,14 @@ func (s *Server) applyPut(id string, fp core.Fingerprint) (existing bool, err er
 	case next.deleted.At(i): // a re-upload revives a tombstoned user
 		next.setDeleted(i, false)
 	}
-	s.mu.Lock()
-	if existing {
-		s.fps[i] = fp
-	} else {
+	if !existing {
+		s.mu.Lock()
 		s.index[id] = i
-		s.fps = append(s.fps, fp)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
+	// The maintainer gets the decoded fingerprint, not a view of row i: a
+	// view would pin, for the node's lifetime, the page the next WithRow
+	// on it copies away from.
 	s.applyOnline(&next, i, fp, false)
 	s.view.Store(&next)
 	return existing, nil
@@ -205,10 +194,10 @@ func (v *view) setDeleted(i int, dead bool) {
 // new snapshot in next — keeping the served graph and the on-disk epoch
 // warm. Called under writeMu.
 //
-// If the epoch's maintainer is not exactly one step behind (it lags —
-// recovery lost its delta tail, or no online epoch exists yet), the graph
-// is left untouched and the lag is counted: the epoch serves stale under
-// the pinned-epoch contract until the next build drains and replaces it.
+// Without an epoch there is nothing to apply. If the epoch's maintainer is
+// not exactly one step behind (it lags: recovery lost its delta tail), the
+// graph is left untouched and the lag is counted: the epoch serves stale
+// until the next build drains and replaces it.
 func (s *Server) applyOnline(next *view, i int, fp core.Fingerprint, del bool) {
 	if next.live == nil {
 		return
@@ -278,15 +267,11 @@ func (s *Server) applyOnline(next *view, i int, fp core.Fingerprint, del bool) {
 // waiting on writeMu would deadlock the pair.
 func (s *Server) captureState() (durable.State, *durable.EpochData) {
 	v := s.view.Load()
-	n := v.users.Len()
 	st := durable.State{
 		Users:   v.users.Flat(),
-		FPS:     make([]core.Fingerprint, n),
+		FPS:     corpusRows(v.corpus, v.users.Len()),
 		Deleted: v.deleted.Flat(),
 		MutSeq:  v.mutSeq,
-	}
-	for i := range st.FPS {
-		st.FPS[i] = v.corpus.Fingerprint(i)
 	}
 	if v.live == nil {
 		return st, nil
