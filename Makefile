@@ -29,9 +29,12 @@ racecheck: parity
 	$(GO) test -race -shuffle=on ./...
 
 # The search loop's contract on its own, so a search change can be checked
-# in isolation (all of it is also part of the ./... sweep above): graph-
-# navigated /query holds recall@10 >= 0.9 against the exact scan at n=10k;
-# the batched, selection-seeded search equals its slice-based reference on
+# in isolation (all of it is also part of the ./... sweep above): graph
+# search on an NNDescent graph holds recall@10 >= 0.9 against the exact scan
+# at n=10k; the served builder — /graph/build with no parameters, i.e.
+# Cluster-and-Conquer at its defaults — holds mode=graph recall@10 >= 0.95
+# against mode=scan at n=20k, and equals BruteForce entry for entry below
+# 256 users (the exact graphs the service tests assert); the batched, selection-seeded search equals its slice-based reference on
 # tie-heavy random graphs; the batch path equals the per-node path at
 # n=10k and the scorer's batch method equals Score bit for bit on a paged
 # corpus; the spread seeds equal their closed form; a steady-state search
@@ -41,7 +44,8 @@ racecheck: parity
 # graphs and a 10k cluster-built graph, at GOMAXPROCS 1, 2 and 8 (these
 # last two under -race).
 parity:
-	$(GO) test -count=1 -run 'GraphScanParity|GraphSearchMatchesReference|GraphSearchBatchEqualsPerNode|GraphSearchPooledScratch|SpreadSeedsClosedForm|SeedsMatchMapDedup|PackedHistory' ./internal/knn ./internal/cluster ./internal/core
+	$(GO) test -count=1 -run 'GraphScanParity|GraphSearchMatchesReference|GraphSearchBatchEqualsPerNode|GraphSearchPooledScratch|SpreadSeedsClosedForm|SeedsMatchMapDedup|PackedHistory|ClusterConquerDefaultsEqualBruteForce' ./internal/knn ./internal/cluster ./internal/core
+	$(GO) test -count=1 -run 'ServedGraphRecall' ./internal/service
 	$(GO) test -race -count=1 -run 'GraphSearchScratchReuse|NavigableMatchesReference' ./internal/knn
 
 # bench/ is its own module, so tier-1 (`go build ./... && go test ./...`)

@@ -23,6 +23,12 @@
 // graceful if saying no is fast and the work that was said yes to stays
 // fast.
 //
+// -build POSTs /graph/build after seeding, with no algo parameter, so the
+// server builds with its one builder, Cluster-and-Conquer. (Older servers
+// built Hyrec for the same request: graph-mode load reports from them
+// measure a different graph.) -mode graph then sends every query down the
+// navigated path.
+//
 // Usage:
 //
 //	knnload -addr localhost:8080 -duration 30s -rate 2000 -mix 0.9 \

@@ -7,7 +7,7 @@
 //
 //	PUT    /users/{id}/fingerprint   upload a binary SHF (internal/core codec)
 //	DELETE /users/{id}/fingerprint   tombstone a user (204; reads answer 410)
-//	POST   /graph/build?k=30&algo=hyrec
+//	POST   /graph/build?k=30         build the graph (Cluster-and-Conquer)
 //	DELETE /graph/build              cancel the in-flight build (alias: /build)
 //	GET    /users/{id}/neighbors
 //	POST   /query?k=10               top-k users for an uploaded fingerprint
@@ -17,12 +17,14 @@
 //
 // # Graph epochs
 //
-// Each successful POST /graph/build produces a new graph epoch, and the
-// epoch then tracks mutations online: uploads, overwrites and deletes
-// apply to the live graph immediately instead of pinning it stale until
-// the next rebuild. Construction runs outside any lock, so uploads,
-// neighborhood reads and queries all proceed at full speed while a build
-// is running. The contract:
+// POST /graph/build builds with Cluster-and-Conquer at the cluster
+// package defaults, the one builder the server runs: algo may be left out
+// or set to cluster, and any other value is a 400. Each successful build
+// produces a new graph epoch, and the epoch then tracks mutations online:
+// uploads, overwrites and deletes apply to the live graph immediately
+// instead of pinning it stale until the next rebuild. Construction runs
+// outside any lock, so uploads, neighborhood reads and queries all proceed
+// at full speed while a build is running. The contract:
 //
 //   - A user uploaded after the epoch was built is inserted into the live
 //     graph (greedy search for its neighborhood, reverse-edge repair with
@@ -174,10 +176,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		"per-request deadline for /query, admission queue included (0 disables; clients can lower it with X-Request-Timeout)")
 	rateLimit := fs.Float64("rate-limit", 0,
 		"global request rate limit in requests/second, enforced with a token bucket (0 disables)")
-	clusterViews := fs.Int("cluster-views", 0,
-		"independent clustering views for algo=cluster builds (0 uses the default)")
-	clusterMaxSize := fs.Int("cluster-max-size", 0,
-		"maximum cluster size for algo=cluster builds; oversized buckets are split recursively (0 uses the default)")
 	role := fs.String("role", "",
 		"multi-process deployment role: \"shard\" (one shard-core process; pair with -name and -join) or \"router\" (routing tier; pair with -peers). Empty: single node")
 	shardName := fs.String("name", "",
@@ -227,12 +225,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	if *rateLimit < 0 {
 		return fmt.Errorf("-rate-limit must be non-negative, got %g", *rateLimit)
 	}
-	if *clusterViews < 0 {
-		return fmt.Errorf("-cluster-views must be non-negative, got %d", *clusterViews)
-	}
-	if *clusterMaxSize < 0 {
-		return fmt.Errorf("-cluster-max-size must be non-negative, got %d", *clusterMaxSize)
-	}
 	if *quorum <= 0 || *quorum > 1 {
 		return fmt.Errorf("-quorum must be in (0, 1], got %g", *quorum)
 	}
@@ -275,19 +267,17 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		return fmt.Errorf("unknown -role %q (want shard or router)", *role)
 	}
 	return runNode(ctx, nodeParams{
-		addr:           *addr,
-		bits:           *bits,
-		name:           *shardName,
-		join:           *joinURL,
-		advertise:      *advertiseURL,
-		buildTimeout:   *buildTimeout,
-		dataDir:        *dataDir,
-		fsync:          fsyncPolicy,
-		httpTimeouts:   timeouts,
-		admission:      admissionConfig(*maxInflightQueries, *queryTimeout, *rateLimit),
-		migrateRate:    *migrateRate,
-		clusterViews:   *clusterViews,
-		clusterMaxSize: *clusterMaxSize,
+		addr:         *addr,
+		bits:         *bits,
+		name:         *shardName,
+		join:         *joinURL,
+		advertise:    *advertiseURL,
+		buildTimeout: *buildTimeout,
+		dataDir:      *dataDir,
+		fsync:        fsyncPolicy,
+		httpTimeouts: timeouts,
+		admission:    admissionConfig(*maxInflightQueries, *queryTimeout, *rateLimit),
+		migrateRate:  *migrateRate,
 	}, logger, ready)
 }
 
@@ -328,19 +318,17 @@ func (t httpTimeouts) server(h http.Handler) *http.Server {
 // nodeParams carries the parsed flags into a service process; name, join
 // and advertise are set only in -role shard mode.
 type nodeParams struct {
-	addr           string
-	bits           int
-	name           string
-	join           string
-	advertise      string
-	buildTimeout   time.Duration
-	dataDir        string
-	fsync          durable.FsyncPolicy
-	httpTimeouts   httpTimeouts
-	admission      admit.Config
-	migrateRate    int
-	clusterViews   int
-	clusterMaxSize int
+	addr         string
+	bits         int
+	name         string
+	join         string
+	advertise    string
+	buildTimeout time.Duration
+	dataDir      string
+	fsync        durable.FsyncPolicy
+	httpTimeouts httpTimeouts
+	admission    admit.Config
+	migrateRate  int
 }
 
 // ringFile is where a shard process persists its installed placement ring
@@ -361,7 +349,6 @@ func runNode(ctx context.Context, p nodeParams, logger *log.Logger, ready func(a
 	}
 	srv.SetShardName(p.name)
 	srv.SetBuildTimeout(p.buildTimeout)
-	srv.SetClusterConfig(p.clusterViews, p.clusterMaxSize)
 	srv.SetAdmission(p.admission)
 	srv.SetMigrateRate(p.migrateRate)
 	who, logPrefix := "knnserver", ""

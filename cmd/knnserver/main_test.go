@@ -32,8 +32,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-max-inflight-queries", "-4"},
 		{"-query-timeout", "-5s"},
 		{"-rate-limit", "-100"},
-		{"-cluster-views", "-1"},
-		{"-cluster-max-size", "-64"},
 		{"-quorum", "0"},
 		{"-quorum", "1.5"},
 		{"-quorum", "-0.5"},
@@ -173,11 +171,11 @@ func TestRunHardenedServerServes(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestRunClusterFlagsServeBuild boots with the cluster tuning flags set and
-// checks an algo=cluster build succeeds end to end at the binary boundary.
-func TestRunClusterFlagsServeBuild(t *testing.T) {
+// TestRunBuildsCluster checks, at the binary boundary, that a build with no
+// parameters runs Cluster-and-Conquer: the one builder the server has.
+func TestRunBuildsCluster(t *testing.T) {
 	var logs bytes.Buffer
-	addr, shutdown := startServer(t, &logs, "-cluster-views", "2", "-cluster-max-size", "32")
+	addr, shutdown := startServer(t, &logs)
 	defer shutdown()
 
 	scheme := core.MustScheme(256, 7)
@@ -199,7 +197,7 @@ func TestRunClusterFlagsServeBuild(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Post("http://"+addr+"/graph/build?k=3&algo=cluster", "", nil)
+	resp, err := client.Post("http://"+addr+"/graph/build?k=3", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +285,7 @@ func TestRunRestartRecoversState(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Post("http://"+addr+"/graph/build?k=3&algo=bruteforce", "", nil)
+	resp, err := client.Post("http://"+addr+"/graph/build?k=3", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +473,19 @@ func TestRunShardedServes(t *testing.T) {
 		uploadUser(t, client, routerAddr, scheme, fmt.Sprintf("u%d", i), i)
 	}
 
-	resp, err := client.Post(routerURL+"/graph/build?k=3&algo=bruteforce", "", nil)
+	// A builder the shards do not run is the client's error, through the
+	// router as on one node.
+	resp, err := client.Post(routerURL+"/graph/build?k=3&algo=hyrec", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cluster") {
+		t.Fatalf("algo=hyrec through the router: status %d: %s, want 400 naming cluster", resp.StatusCode, body)
+	}
+
+	resp, err = client.Post(routerURL+"/graph/build?k=3", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

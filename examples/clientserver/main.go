@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("what the server cannot learn: %s\n", report)
 
 	// Server side: build the graph from fingerprints alone.
-	resp, err := http.Post(ts.URL+"/graph/build?k=5&algo=hyrec", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=5", "", nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

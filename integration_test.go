@@ -256,7 +256,7 @@ func TestServiceEpochLifecycleOverHTTP(t *testing.T) {
 	for i := 0; i < initial; i++ {
 		upload(fmt.Sprintf("u%03d", i), d.Profiles[i])
 	}
-	resp, err := http.Post(ts.URL+"/graph/build?k=5&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=5", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestServiceEpochLifecycleOverHTTP(t *testing.T) {
 	}
 
 	// Rebuild folds the newcomers in and advances the epoch.
-	resp, err = http.Post(ts.URL+"/graph/build?k=5&algo=bruteforce", "", nil)
+	resp, err = http.Post(ts.URL+"/graph/build?k=5", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"goldfinger/internal/core"
 	"goldfinger/internal/dataset"
+	"goldfinger/internal/profile"
 )
 
 // clusterDataset is a corpus large enough that the default clustering
@@ -292,5 +293,52 @@ func TestClusterConquerNoRefine(t *testing.T) {
 	qRaw, qRef := Quality(raw, exact, p), Quality(refined, exact, p)
 	if qRef+1e-9 < qRaw {
 		t.Errorf("refine reduced quality: %.4f -> %.4f", qRaw, qRef)
+	}
+}
+
+// TestClusterConquerDefaultsEqualBruteForceBelow256 pins what the service
+// relies on when it builds every graph with ClusterConquerWith at its
+// defaults: below 256 users the default clustering puts every view into one
+// top-level bucket, so the build is an exact scan and returns BruteForce's
+// graph entry for entry, tie order included. Tie-heavy corpora (a handful
+// of items fingerprinted into 64 bits) make that tie order matter; the
+// ML1M-shaped corpora cover the service's own 1024-bit fingerprints.
+func TestClusterConquerDefaultsEqualBruteForceBelow256(t *testing.T) {
+	check := func(t *testing.T, p Provider, n int) {
+		t.Helper()
+		for _, k := range []int{1, 3, 10, n - 1} {
+			if k < 1 || k > n-1 {
+				continue
+			}
+			want, _ := BruteForce(p, k, Options{})
+			got, _, _ := ClusterConquerWith(p, k, Options{}, ClusterConfig{})
+			if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
+				for u := range want.Neighbors {
+					if !reflect.DeepEqual(got.Neighbors[u], want.Neighbors[u]) {
+						t.Fatalf("n=%d k=%d: user %d has %v, BruteForce %v", n, k, u, got.Neighbors[u], want.Neighbors[u])
+					}
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	for _, n := range []int{2, 3, 5, 17, 60, 128, 200, 255} {
+		for trial := 0; trial < 3; trial++ {
+			profiles := make([]profile.Profile, n)
+			for i := range profiles {
+				items := make([]profile.ItemID, 1+rng.Intn(4))
+				for j := range items {
+					items[j] = profile.ItemID(rng.Intn(12))
+				}
+				profiles[i] = profile.New(items...)
+			}
+			corpus := core.MustScheme(64, uint64(trial)).PackProfiles(profiles, 0)
+			check(t, NewPackedSHFProvider(corpus), n)
+		}
+	}
+	for _, users := range []int{40, 120, 181} {
+		d := dataset.Generate(dataset.ML1M, float64(users)/float64(dataset.ML1M.Users), int64(users))
+		corpus := core.MustScheme(1024, 7).PackProfiles(d.Profiles, 0)
+		check(t, NewPackedSHFProvider(corpus), len(d.Profiles))
 	}
 }

@@ -837,7 +837,7 @@ func TestSpreadSeedsClosedForm(t *testing.T) {
 
 // TestGraphScanParity10k is the scan-vs-graph parity floor of `make
 // racecheck`: at n=10k on an NNDescent-built graph (the builder the query
-// bench and the serving recommendation use), graph-mode recall@10 against
+// bench compares against), graph-mode recall@10 against
 // the exact scan must stay at or above 0.9 while touching a small
 // fraction of the corpus.
 func TestGraphScanParity10k(t *testing.T) {

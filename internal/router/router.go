@@ -1063,7 +1063,10 @@ func (r *Router) writeOutcome(w http.ResponseWriter, sh *shard, out outcome) {
 // graph over its own user subset) and aggregates the per-shard results;
 // DELETE fans the cancel out. Builds bypass the breaker and the latency
 // window — a multi-second build is not a straggler, and an operator
-// rebuilding a recovering fleet must reach even sick shards.
+// rebuilding a recovering fleet must reach even sick shards. Any shard
+// failing makes the aggregate a 502, except when every shard refused with
+// the same 4xx: then the request is at fault (a bad k or algo), not the
+// fleet, and the client gets that status.
 func (r *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodPost, http.MethodDelete:
@@ -1104,12 +1107,18 @@ func (r *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 	shardsOut := map[string]json.RawMessage{}
 	errsOut := map[string]string{}
 	okCount := 0
+	same := 0 // the status all shards so far answered alike; 0 once they differ or one is unreachable
 	wantStatus := http.StatusOK
 	if req.Method == http.MethodDelete {
 		wantStatus = http.StatusAccepted
 	}
-	for range shards {
+	for i := range shards {
 		res := <-results
+		if i == 0 {
+			same = res.status
+		} else if res.status != same {
+			same = 0
+		}
 		switch {
 		case res.err != nil:
 			errsOut[res.name] = res.err.Error()
@@ -1127,6 +1136,9 @@ func (r *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 	status := wantStatus
 	if okCount < len(shards) {
 		status = http.StatusBadGateway
+		if same >= 400 && same < 500 {
+			status = same
+		}
 	}
 	writeJSON(w, status, map[string]any{
 		"shards": shardsOut,

@@ -547,7 +547,7 @@ func TestBuildFansOutToAllShards(t *testing.T) {
 		})
 	}
 	r := newTestRouter(t, Config{}, a, b)
-	req := httptest.NewRequest(http.MethodPost, "/graph/build?k=4&algo=bruteforce", nil)
+	req := httptest.NewRequest(http.MethodPost, "/graph/build?k=4", nil)
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -562,5 +562,63 @@ func TestBuildFansOutToAllShards(t *testing.T) {
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Built != 2 || out.Total != 2 {
 		t.Errorf("aggregate = %s (err %v), want built 2/2", rec.Body.String(), err)
+	}
+}
+
+// TestBuildPassesUnanimousClientError: when every shard refuses a build
+// with the same 4xx, the request is at fault and the router answers that
+// status with the usual aggregate body; a split answer is still a 502.
+func TestBuildPassesUnanimousClientError(t *testing.T) {
+	buildShard := func(status int) *fakeShard {
+		fs := newFakeShard(t, nil)
+		orig := fs.srv.Config.Handler
+		fs.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/graph/build" {
+				if status != http.StatusOK {
+					http.Error(w, "unknown algorithm", status)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprint(w, `{"epoch": 1}`)
+				return
+			}
+			orig.ServeHTTP(w, r)
+		})
+		return fs
+	}
+	for _, tc := range []struct {
+		name     string
+		statuses []int
+		want     int
+		built    int
+	}{
+		{"all-400", []int{400, 400}, http.StatusBadRequest, 0},
+		{"400-and-200", []int{400, 200}, http.StatusBadGateway, 1},
+		{"400-and-409", []int{400, 409}, http.StatusBadGateway, 0},
+		{"all-503", []int{503, 503}, http.StatusBadGateway, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var shards []*fakeShard
+			for _, st := range tc.statuses {
+				shards = append(shards, buildShard(st))
+			}
+			r := newTestRouter(t, Config{}, shards...)
+			rec := httptest.NewRecorder()
+			r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/graph/build?algo=hyrec", nil))
+			if rec.Code != tc.want {
+				t.Fatalf("status = %d, want %d: %s", rec.Code, tc.want, rec.Body.String())
+			}
+			var out struct {
+				Built  int               `json:"built"`
+				Total  int               `json:"total"`
+				Errors map[string]string `json:"errors"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("aggregate body %q: %v", rec.Body.String(), err)
+			}
+			if out.Built != tc.built || out.Total != len(tc.statuses) || len(out.Errors) != len(tc.statuses)-tc.built {
+				t.Errorf("aggregate = %s, want built %d of %d", rec.Body.String(), tc.built, len(tc.statuses))
+			}
+		})
 	}
 }

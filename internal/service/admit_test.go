@@ -77,7 +77,7 @@ func TestWriteShedWhileBuildHoldsSlot(t *testing.T) {
 	buildDone := make(chan struct{})
 	go func() {
 		defer close(buildDone)
-		resp, err := http.Post(ts.URL+"/graph/build?k=1&algo=bruteforce", "", nil)
+		resp, err := http.Post(ts.URL+"/graph/build?k=1", "", nil)
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -125,7 +125,7 @@ func TestDeadlineExceededInQueue(t *testing.T) {
 	buildDone := make(chan struct{})
 	go func() {
 		defer close(buildDone)
-		resp, err := http.Post(ts.URL+"/graph/build?k=1&algo=bruteforce", "", nil)
+		resp, err := http.Post(ts.URL+"/graph/build?k=1", "", nil)
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -317,7 +317,7 @@ func TestBuildConflictRetryAfterComputed(t *testing.T) {
 	buildDone := make(chan struct{})
 	go func() {
 		defer close(buildDone)
-		resp, err := http.Post(ts.URL+"/graph/build?k=1&algo=bruteforce", "", nil)
+		resp, err := http.Post(ts.URL+"/graph/build?k=1", "", nil)
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -325,7 +325,7 @@ func TestBuildConflictRetryAfterComputed(t *testing.T) {
 	waitUntil(t, func() bool { return getStats(t, ts).BuildRunning })
 	defer func() { release(); <-buildDone }()
 
-	resp, err := http.Post(ts.URL+"/graph/build?k=1&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestDegradedAndAdmissionInterplay(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Post(ts.URL+"/graph/build?k=1&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
 package service
 
-// HTTP-level tests for the algo=cluster build path and the cluster-seeded
-// graph query entry points.
+// HTTP-level tests for the one build path (Cluster-and-Conquer) and the
+// cluster-seeded graph query entry points.
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -13,7 +16,7 @@ func TestBuildClusterAlgorithm(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, br := buildGraph(t, ts, "?k=3&algo=cluster")
+	resp, br := buildGraph(t, ts, "?k=3")
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cluster build: status %d", resp.StatusCode)
@@ -45,7 +48,7 @@ func TestQueryClusterSeededMatchesScan(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts, "?k=3&algo=cluster")
+	resp, _ := buildGraph(t, ts, "?k=3")
 	resp.Body.Close()
 	if ep := srv.view.Load().epoch; ep == nil || ep.clusters == nil {
 		t.Fatal("no cluster epoch")
@@ -72,15 +75,15 @@ func TestQueryClusterSeededMatchesScan(t *testing.T) {
 	}
 }
 
-// TestQuerySeedsHelper exercises querySeeds directly: a cluster epoch
-// yields in-range bucket seeds, any other epoch yields nil (default
-// spread).
+// TestQuerySeedsHelper exercises querySeeds directly: a built epoch
+// yields in-range bucket seeds, an epoch without an assignment (one
+// recovered from disk) yields nil (default spread).
 func TestQuerySeedsHelper(t *testing.T) {
 	srv, ts, scheme := newInstrumentedServer(t)
 	for i := 0; i < 50; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts, "?k=3&algo=cluster")
+	resp, _ := buildGraph(t, ts, "?k=3")
 	resp.Body.Close()
 	v := srv.view.Load()
 	fp := scheme.Fingerprint(queryProfile(7))
@@ -95,50 +98,84 @@ func TestQuerySeedsHelper(t *testing.T) {
 		}
 	}
 
-	resp, _ = buildGraph(t, ts, "?k=3&algo=bruteforce")
-	resp.Body.Close()
-	if got := querySeeds(srv.view.Load().epoch, fp, 50); got != nil {
-		t.Fatalf("non-cluster epoch produced seeds %v, want nil", got)
+	if got := querySeeds(&graphEpoch{}, fp, n); got != nil {
+		t.Fatalf("epoch without an assignment produced seeds %v, want nil", got)
 	}
 }
 
-func TestSetClusterConfigPlumbing(t *testing.T) {
-	srv, ts, scheme := newInstrumentedServer(t)
-	srv.SetClusterConfig(2, 16)
-	for i := 0; i < 50; i++ {
-		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
-	}
-	resp, _ := buildGraph(t, ts, "?k=3&algo=cluster")
-	resp.Body.Close()
-	ep := srv.view.Load().epoch
-	if ep == nil || ep.clusters == nil {
-		t.Fatal("no cluster epoch")
-	}
-	if got := len(ep.clusters.Views); got != 2 {
-		t.Fatalf("views = %d, want configured 2", got)
-	}
-	for _, v := range ep.clusters.Views {
-		for _, members := range v.Clusters {
-			if len(members) > 16 {
-				t.Fatalf("cluster of %d members exceeds configured max 16", len(members))
-			}
-		}
-	}
-	if err := srv.view.Load().live.Graph().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestBuildUnknownAlgorithmMentionsCluster: the service builds with
+// Cluster-and-Conquer only. algo=cluster builds like no algo at all; every
+// other value — the builders it once offered included — is a 400 whose
+// message names the one it runs.
 func TestBuildUnknownAlgorithmMentionsCluster(t *testing.T) {
 	ts, scheme := newTestServer(t)
 	putFingerprint(t, ts, scheme, "a", queryProfile(0)).Body.Close()
 	putFingerprint(t, ts, scheme, "b", queryProfile(1)).Body.Close()
-	resp, err := http.Post(ts.URL+"/graph/build?algo=quantum", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, algo := range []string{"quantum", "hyrec", "bruteforce", "nndescent", "Cluster"} {
+		resp, err := http.Post(ts.URL+"/graph/build?algo="+algo, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cluster") {
+			t.Fatalf("algo=%s: status %d body %q, want 400 naming cluster", algo, resp.StatusCode, body)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	resp, br := buildGraph(t, ts, "?algo=cluster")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || br.Algorithm != "cluster" {
+		t.Fatalf("algo=cluster: status %d result %+v", resp.StatusCode, br)
+	}
+}
+
+// TestServedGraphRecallAt20k: the graph a plain POST /graph/build makes
+// must serve near-exact answers at a scale where the builder shows. 20k
+// clustered users, no build parameters, 120 held-out queries: mode=graph
+// holds recall@10 ≥ 0.95 against the exact mode=scan. A Hyrec graph of the
+// same corpus serves about 0.78 here (0.93 at 10k). Skipped under -race:
+// the 20k build adds no signal there.
+func TestServedGraphRecallAt20k(t *testing.T) {
+	if raceEnabled {
+		t.Skip("20k build adds no signal under -race")
+	}
+	const n, queries = 20000, 120
+	srv, fps := memberFixture(t, n, queries)
+	if rec := serve(srv, http.MethodPost, "/graph/build", nil); rec.Code != http.StatusOK {
+		t.Fatalf("build: status %d: %s", rec.Code, rec.Body)
+	}
+	query := func(mode string, body []byte) []NeighborJSON {
+		t.Helper()
+		rec := serve(srv, http.MethodPost, "/query?mode="+mode, body)
+		if rec.Code != http.StatusOK || rec.Header().Get(HeaderQueryMode) != mode {
+			t.Fatalf("mode=%s: status %d served %q", mode, rec.Code, rec.Header().Get(HeaderQueryMode))
+		}
+		var out []NeighborJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var sum float64
+	for _, fp := range fps[n:] {
+		body := wireBytes(t, fp)
+		graph, scan := query("graph", body), query("scan", body)
+		if len(scan) != 10 || len(graph) != 10 {
+			t.Fatalf("got %d graph and %d scan results, want 10 each", len(graph), len(scan))
+		}
+		// Tie-aware: a graph answer scoring at least the scan's 10th best
+		// belongs to an exact top-10.
+		hits := 0
+		for _, nb := range graph {
+			if nb.Similarity >= scan[len(scan)-1].Similarity {
+				hits++
+			}
+		}
+		sum += float64(hits) / float64(len(scan))
+	}
+	recall := sum / queries
+	t.Logf("served recall@10 at n=%d over %d queries: %.3f", n, queries, recall)
+	if recall < 0.95 {
+		t.Errorf("served recall@10 = %.3f, floor 0.95", recall)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"goldfinger/internal/core"
 	"goldfinger/internal/durable"
+	"goldfinger/internal/knn"
 	"goldfinger/internal/profile"
 )
 
@@ -82,7 +83,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Post(ts1.URL+"/graph/build?k=5&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts1.URL+"/graph/build?k=5", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestRecoveryAfterOverwrite(t *testing.T) {
 	if len(rec.State.Users) != 3 || rec.State.MutSeq != 4 {
 		t.Fatalf("recovered %d users at mutSeq %d, want 3 at 4", len(rec.State.Users), rec.State.MutSeq)
 	}
-	postBuild, err := http.Post(ts2.URL+"/graph/build?k=2&algo=bruteforce", "", nil)
+	postBuild, err := http.Post(ts2.URL+"/graph/build?k=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +190,64 @@ func TestRecoveryAfterOverwrite(t *testing.T) {
 	}
 }
 
+// TestRecoveryOfEpochFromAnotherBuilder: a data dir written by an older
+// server can hold an epoch that another builder made. It recovers and
+// serves as it is — neighbor reads, and graph-mode queries seeded from the
+// default spread, since it carries no cluster assignment — and /stats names
+// its builder, so an operator can see it and rebuild. The rebuild replaces
+// it with a cluster epoch.
+func TestRecoveryOfEpochFromAnotherBuilder(t *testing.T) {
+	dir := t.TempDir()
+	ts1, _, _, scheme := newDurableServer(t, dir, durable.OSFS{})
+	const n, k = 30, 3
+	for i := 0; i < n; i++ {
+		putFingerprint(t, ts1, scheme, userID(i), profileFor(i)).Body.Close()
+	}
+	ts1.Close()
+
+	st, rec, err := durable.Open(durable.Options{Dir: dir, Fsync: durable.FsyncAlways, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := core.NewPackedCorpus(1024, rec.State.FPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, stats := knn.Hyrec(knn.NewPackedSHFProvider(corpus), k, knn.Options{Seed: 1})
+	if err := st.SaveEpoch(durable.EpochData{
+		Seq: 1, K: k, Algorithm: "hyrec", BuiltAt: time.Now(), Stats: stats,
+		MutSeq: rec.State.MutSeq, Users: rec.State.Users, Graph: g,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2, _, rec2, _ := newDurableServer(t, dir, durable.OSFS{})
+	if rec2.Epoch == nil || rec2.Epoch.Algorithm != "hyrec" {
+		t.Fatalf("recovered epoch %+v, want the saved hyrec epoch", rec2.Epoch)
+	}
+	if s := getStats(t, ts2); !s.GraphBuilt || s.GraphStale || s.Epoch != 1 || s.Algorithm != "hyrec" {
+		t.Fatalf("stats after recovery = %+v, want live hyrec epoch 1", s)
+	}
+	if status, nbrs := getNeighborList(t, ts2, userID(0)); status != http.StatusOK || len(nbrs) != k {
+		t.Fatalf("neighbors of %s: status %d, %d entries", userID(0), status, len(nbrs))
+	}
+	if res, served, status := postQuery(t, ts2, scheme, profileFor(4), "?k=3"); status != http.StatusOK || served != "graph" || len(res) != 3 {
+		t.Fatalf("query on the recovered epoch: status %d served %q, %d results", status, served, len(res))
+	}
+
+	resp, br := buildGraph(t, ts2, "?k=3")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || br.Algorithm != "cluster" {
+		t.Fatalf("rebuild: status %d result %+v", resp.StatusCode, br)
+	}
+	if s := getStats(t, ts2); s.Epoch != 2 || s.Algorithm != "cluster" {
+		t.Fatalf("stats after rebuild = %+v, want cluster epoch 2", s)
+	}
+}
+
 // TestDegradedReadOnlyMode flips the data dir unwritable mid-flight: PUTs
 // must get 503 with Retry-After, while neighbor reads, queries, /healthz
 // and /stats keep working off the in-memory state.
@@ -203,7 +262,7 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Post(ts.URL+"/graph/build?k=2&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +387,7 @@ func TestOverwriteInvalidatesPackedCacheAcrossBuilds(t *testing.T) {
 	}
 	build := func() {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/graph/build?k=1&algo=bruteforce", "", nil)
+		resp, err := http.Post(ts.URL+"/graph/build?k=1", "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

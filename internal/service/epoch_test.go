@@ -18,6 +18,7 @@ import (
 
 	"goldfinger/internal/core"
 	"goldfinger/internal/dataset"
+	"goldfinger/internal/knn"
 	"goldfinger/internal/profile"
 )
 
@@ -31,6 +32,15 @@ func newInstrumentedServer(t *testing.T) (*Server, *httptest.Server, *core.Schem
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, core.MustScheme(1024, 7)
+}
+
+// builderComparisons is the comparison count the service's builder
+// reports for the server's current corpus at k: what a build's
+// BuildResult, /stats and /metrics must all say.
+func builderComparisons(srv *Server, k int) int64 {
+	p := knn.NewPackedSHFProvider(srv.view.Load().corpus)
+	_, _, stats := knn.ClusterConquerWith(p, k, knn.Options{}, knn.ClusterConfig{})
+	return stats.Comparisons
 }
 
 func getStats(t *testing.T, ts *httptest.Server) Stats {
@@ -58,7 +68,7 @@ func TestNeighborsForPostEpochUser(t *testing.T) {
 	putFingerprint(t, ts, scheme, "b", profile.New(2, 3)).Body.Close()
 	putFingerprint(t, ts, scheme, "c", profile.New(3, 4)).Body.Close()
 
-	resp, err := http.Post(ts.URL+"/graph/build?k=2&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +123,7 @@ func TestTrafficProceedsDuringBuild(t *testing.T) {
 
 	buildStatus := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/graph/build?k=3&algo=bruteforce", "", nil)
+		resp, err := http.Post(ts.URL+"/graph/build?k=3", "", nil)
 		if err != nil {
 			buildStatus <- -1
 			return
@@ -312,7 +322,7 @@ func TestUploadBodyBounds(t *testing.T) {
 
 // TestStatsEpochObservability walks the epoch lifecycle through /stats.
 func TestStatsEpochObservability(t *testing.T) {
-	_, ts, scheme := newInstrumentedServer(t)
+	srv, ts, scheme := newInstrumentedServer(t)
 	st := getStats(t, ts)
 	if st.GraphBuilt || st.Epoch != 0 || st.BuildRunning {
 		t.Errorf("fresh stats = %+v", st)
@@ -322,7 +332,7 @@ func TestStatsEpochObservability(t *testing.T) {
 	putFingerprint(t, ts, scheme, "b", profile.New(2, 3)).Body.Close()
 	putFingerprint(t, ts, scheme, "c", profile.New(3, 4)).Body.Close()
 
-	resp, err := http.Post(ts.URL+"/graph/build?k=2&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +349,7 @@ func TestStatsEpochObservability(t *testing.T) {
 	if !st.GraphBuilt || st.GraphStale || st.Epoch != 1 || st.EpochUsers != 3 {
 		t.Errorf("post-build stats = %+v", st)
 	}
-	if st.Algorithm != "bruteforce" || st.Comparisons != 3 || st.BuiltAt == "" {
+	if want := builderComparisons(srv, 2); st.Algorithm != "cluster" || st.Comparisons != want || want == 0 || st.BuiltAt == "" {
 		t.Errorf("epoch observability fields = %+v", st)
 	}
 
@@ -349,7 +359,7 @@ func TestStatsEpochObservability(t *testing.T) {
 	if st = getStats(t, ts); st.GraphStale || !st.GraphLive {
 		t.Errorf("stats after re-upload = %+v, want live (warm) graph", st)
 	}
-	resp, err = http.Post(ts.URL+"/graph/build?k=2&algo=bruteforce", "", nil)
+	resp, err = http.Post(ts.URL+"/graph/build?k=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

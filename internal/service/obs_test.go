@@ -88,7 +88,7 @@ func TestCancelBuildKeepsServingOldEpoch(t *testing.T) {
 	uploadN(t, ts, scheme, 8, 1)
 
 	// Epoch 1 builds normally.
-	resp, br := buildGraph(t, ts, "?k=3&algo=bruteforce")
+	resp, br := buildGraph(t, ts, "?k=3")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || br.Epoch != 1 {
 		t.Fatalf("first build: status %d, epoch %d", resp.StatusCode, br.Epoch)
@@ -104,7 +104,7 @@ func TestCancelBuildKeepsServingOldEpoch(t *testing.T) {
 	}
 	done := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/graph/build?k=3&algo=bruteforce", "", nil)
+		resp, err := http.Post(ts.URL+"/graph/build?k=3", "", nil)
 		if err != nil {
 			done <- -1
 			return
@@ -172,7 +172,7 @@ func TestCancelBuildKeepsServingOldEpoch(t *testing.T) {
 	}
 
 	// The next build succeeds and gets the next epoch number.
-	resp, br = buildGraph(t, ts, "?k=3&algo=bruteforce")
+	resp, br = buildGraph(t, ts, "?k=3")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || br.Epoch != 2 {
 		t.Fatalf("post-cancel build: status %d, epoch %d", resp.StatusCode, br.Epoch)
@@ -189,7 +189,7 @@ func TestBuildTimeoutReturns504AndStaleFlag(t *testing.T) {
 	srv, ts, scheme := newInstrumentedServer(t)
 	uploadN(t, ts, scheme, 6, 1)
 
-	resp, _ := buildGraph(t, ts, "?k=2&algo=bruteforce")
+	resp, _ := buildGraph(t, ts, "?k=2")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first build: status %d", resp.StatusCode)
@@ -199,7 +199,7 @@ func TestBuildTimeoutReturns504AndStaleFlag(t *testing.T) {
 	uploadN(t, ts, scheme, 2, 50)
 	srv.SetBuildTimeout(5 * time.Millisecond)
 	srv.buildHook = func() { time.Sleep(60 * time.Millisecond) } // guarantees the deadline fires
-	resp, _ = buildGraph(t, ts, "?k=2&algo=bruteforce")
+	resp, _ = buildGraph(t, ts, "?k=2")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out build: status %d, want %d", resp.StatusCode, http.StatusGatewayTimeout)
@@ -225,7 +225,7 @@ func TestBuildTimeoutReturns504AndStaleFlag(t *testing.T) {
 
 	// Clearing the deadline lets the rebuild through.
 	srv.SetBuildTimeout(0)
-	resp, _ = buildGraph(t, ts, "?k=2&algo=bruteforce")
+	resp, _ = buildGraph(t, ts, "?k=2")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild without deadline: status %d", resp.StatusCode)
@@ -240,30 +240,29 @@ func TestBuildTimeoutReturns504AndStaleFlag(t *testing.T) {
 // counts exactly (the CountingProvider totals), and counters must be
 // monotone across builds.
 func TestMetricsSnapshotMonotoneAndMatchesBuilds(t *testing.T) {
-	_, ts, scheme := newInstrumentedServer(t)
+	srv, ts, scheme := newInstrumentedServer(t)
 	d := dataset.Generate(dataset.ML1M, 0.005, 11)
 	for i, p := range d.Profiles {
 		resp := putFingerprint(t, ts, scheme, userID(i), p)
 		resp.Body.Close()
 	}
-	n := int64(d.NumUsers())
 
 	before := getMetrics(t, ts)
 	if got := before.Counters[knn.MetricComparisons]; got != 0 {
 		t.Fatalf("fresh comparison counter = %d", got)
 	}
 
-	resp, br1 := buildGraph(t, ts, "?k=4&algo=bruteforce")
+	resp, br1 := buildGraph(t, ts, "?k=4")
 	resp.Body.Close()
-	if want := n * (n - 1) / 2; br1.Comparisons != want {
-		t.Fatalf("bruteforce comparisons = %d, want %d", br1.Comparisons, want)
+	if want := builderComparisons(srv, 4); br1.Comparisons != want || want == 0 {
+		t.Fatalf("build comparisons = %d, want the builder's %d", br1.Comparisons, want)
 	}
 	m1 := getMetrics(t, ts)
 	if got := m1.Counters[knn.MetricComparisons]; got != br1.Comparisons {
 		t.Errorf("metrics comparisons = %d, build reported %d", got, br1.Comparisons)
 	}
 
-	resp, br2 := buildGraph(t, ts, "?k=4&algo=hyrec")
+	resp, br2 := buildGraph(t, ts, "?k=4")
 	resp.Body.Close()
 	m2 := getMetrics(t, ts)
 	if got, want := m2.Counters[knn.MetricComparisons], br1.Comparisons+br2.Comparisons; got != want {
@@ -274,21 +273,19 @@ func TestMetricsSnapshotMonotoneAndMatchesBuilds(t *testing.T) {
 		t.Errorf("counters not monotone across builds: %+v then %+v", m1.Counters, m2.Counters)
 	}
 
-	// Per-phase durations: the bruteforce build observed scan/merge, the
-	// hyrec build init/iterate, and both the total build histogram.
+	// Per-phase durations: each build observed every Cluster-and-Conquer
+	// phase once, and the total build histogram both.
 	for name, wantCount := range map[string]int64{
-		"build.phase.scan.seconds":  1,
-		"build.phase.merge.seconds": 1,
-		"build.phase.init.seconds":  1,
-		"build.seconds":             2,
+		"build.phase.bucket.seconds": 2,
+		"build.phase.scan.seconds":   2,
+		"build.phase.merge.seconds":  2,
+		"build.phase.refine.seconds": 2,
+		"build.seconds":              2,
 	} {
 		h, ok := m2.Histograms[name]
-		if !ok || h.Count < wantCount {
-			t.Errorf("histogram %s: %+v, want count ≥ %d", name, h, wantCount)
+		if !ok || h.Count != wantCount {
+			t.Errorf("histogram %s: %+v, want count %d", name, h, wantCount)
 		}
-	}
-	if h := m2.Histograms["build.phase.iterate.seconds"]; h.Count < 1 {
-		t.Errorf("iterate histogram empty: %+v", h)
 	}
 	if m2.Gauges["build.epoch"] != 2 {
 		t.Errorf("epoch gauge = %d, want 2", m2.Gauges["build.epoch"])
@@ -329,7 +326,7 @@ func TestStatsReportPhaseAndProgressDuringBuild(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, err := http.Post(ts.URL+"/graph/build?k=3&algo=bruteforce", "", nil)
+		resp, err := http.Post(ts.URL+"/graph/build?k=3", "", nil)
 		if err == nil {
 			resp.Body.Close()
 		}

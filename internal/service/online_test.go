@@ -40,7 +40,7 @@ func TestDeleteFingerprintLifecycle(t *testing.T) {
 	for i := 0; i < n; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts, "?k=3&algo=bruteforce")
+	resp, _ := buildGraph(t, ts, "?k=3")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("build status %d", resp.StatusCode)
@@ -129,7 +129,7 @@ func TestOnlineMutationsRaceQueriesAndBuild(t *testing.T) {
 	for i := 0; i < base; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts, "?k=3&algo=bruteforce")
+	resp, _ := buildGraph(t, ts, "?k=3")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed build status %d", resp.StatusCode)
@@ -223,7 +223,7 @@ func TestOnlineMutationsRaceQueriesAndBuild(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, _ := buildGraph(t, ts, "?k=3&algo=bruteforce")
+		resp, _ := buildGraph(t, ts, "?k=3")
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
 			bad.Add(1)

@@ -88,7 +88,7 @@ func TestQueryGraphMatchesScan(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts, "?k=3&algo=bruteforce")
+	resp, _ := buildGraph(t, ts, "?k=3")
 	resp.Body.Close()
 
 	for i := 0; i < 40; i += 7 {
@@ -125,7 +125,7 @@ func TestQueryAutoLiveEpochServesNewUser(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts, "?k=2&algo=bruteforce")
+	resp, _ := buildGraph(t, ts, "?k=2")
 	resp.Body.Close()
 
 	if _, served, _ := postQuery(t, ts, scheme, queryProfile(0), "?k=1"); served != "graph" {
@@ -157,7 +157,7 @@ func newLaggingServer(t *testing.T, n int, late profile.Profile) (*Server, *http
 	for i := 0; i < n; i++ {
 		putFingerprint(t, ts1, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts1, "?k=2&algo=bruteforce")
+	resp, _ := buildGraph(t, ts1, "?k=2")
 	resp.Body.Close()
 	putFingerprint(t, ts1, scheme, "late", late).Body.Close()
 	ts1.Close() // the store is abandoned, not closed: a crash
@@ -249,7 +249,7 @@ func TestQueryAutoStaleEpochFallsBackToScan(t *testing.T) {
 		t.Errorf("lagging graph rewired u0: %+v, was %+v", after, before)
 	}
 
-	resp, _ := buildGraph(t, ts, "?k=2&algo=bruteforce")
+	resp, _ := buildGraph(t, ts, "?k=2")
 	resp.Body.Close()
 	if st := getStats(t, ts); st.GraphStale || !st.GraphLive || st.EpochUsers != n+1 {
 		t.Fatalf("stats after the healing build = %+v", st)
@@ -307,7 +307,7 @@ func TestQueryGraphCanceledClient(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		putFingerprint(t, ts, scheme, "u"+itoa(i), queryProfile(i)).Body.Close()
 	}
-	resp, _ := buildGraph(t, ts, "?k=2&algo=bruteforce")
+	resp, _ := buildGraph(t, ts, "?k=2")
 	resp.Body.Close()
 
 	var buf bytes.Buffer

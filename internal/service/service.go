@@ -142,12 +142,15 @@ import (
 // in the view they load and never block builds or uploads.
 type graphEpoch struct {
 	seq int64 // monotonically increasing build number (1-based)
-	// clusters is the fingerprint-hash bucketing a cluster build derived
-	// (nil for other algorithms and for recovered epochs): /query reuses
-	// its hashes to pick graph-search entry points near the query instead
-	// of evenly spread ones.
-	clusters  *cluster.Assignment
-	k         int
+	// clusters is the fingerprint-hash bucketing the build derived (nil
+	// for recovered epochs): /query reuses its hashes to pick graph-search
+	// entry points near the query instead of evenly spread ones.
+	clusters *cluster.Assignment
+	k        int
+	// algorithm names the builder: buildAlgorithm for every epoch this
+	// server builds, possibly another for an epoch recovered from a data
+	// dir an older server wrote. /stats reports it so an operator can see
+	// such an epoch and rebuild.
 	algorithm string
 	builtAt   time.Time
 	duration  time.Duration
@@ -198,11 +201,6 @@ type Server struct {
 	buildTimeout atomic.Int64                       // ns; 0 = no deadline
 	buildCancel  atomic.Pointer[context.CancelFunc] // non-nil while a build runs
 	buildStartNS atomic.Int64                       // UnixNano of the running build; 0 when idle
-
-	// clusterViews / clusterMaxSize tune algo=cluster builds; 0 selects
-	// the cluster package defaults.
-	clusterViews   atomic.Int64
-	clusterMaxSize atomic.Int64
 
 	// buildHook, when non-nil, runs after the build snapshot is taken and
 	// before the algorithm starts. Test instrumentation only.
@@ -296,20 +294,6 @@ func (s *Server) SetBuildTimeout(d time.Duration) {
 		d = 0
 	}
 	s.buildTimeout.Store(int64(d))
-}
-
-// SetClusterConfig tunes subsequent algo=cluster builds: views is the
-// number of independent cluster views (t), maxSize the cluster size cap.
-// Zero keeps the cluster package defaults. Safe to call at any time.
-func (s *Server) SetClusterConfig(views, maxSize int) {
-	if views < 0 {
-		views = 0
-	}
-	if maxSize < 0 {
-		maxSize = 0
-	}
-	s.clusterViews.Store(int64(views))
-	s.clusterMaxSize.Store(int64(maxSize))
 }
 
 // Metrics returns the server's metrics registry (the /metrics export).
@@ -914,7 +898,14 @@ func mutationRefused(w http.ResponseWriter, what string, err error) {
 	httpError(w, http.StatusServiceUnavailable, "%s: %v", what, err)
 }
 
-// BuildResult is the /graph/build response.
+// buildAlgorithm is the one graph builder the service runs: Cluster-and-
+// Conquer at the cluster package defaults. It is near-linear, and its
+// assignment seeds graph queries; below 256 users the defaults make it an
+// exact scan, identical to knn.BruteForce.
+const buildAlgorithm = "cluster"
+
+// BuildResult is the /graph/build response. Algorithm always reads
+// buildAlgorithm.
 type BuildResult struct {
 	Users       int     `json:"users"`
 	K           int     `json:"k"`
@@ -934,7 +925,6 @@ const (
 	metricBuildSecs = "build.seconds"
 	metricEpoch     = "build.epoch"
 	metricLastError = "build.last_error"
-	metricBuildAlgo = "build.algorithm"
 
 	metricDurableError = "durable.last_error"
 
@@ -1014,14 +1004,8 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		}
 		k = parsed
 	}
-	algo := r.URL.Query().Get("algo")
-	if algo == "" {
-		algo = "hyrec"
-	}
-	switch algo {
-	case "bruteforce", "hyrec", "nndescent", "cluster":
-	default:
-		httpError(w, http.StatusBadRequest, "unknown algorithm %q (bruteforce, hyrec, nndescent, cluster)", algo)
+	if algo := r.URL.Query().Get("algo"); algo != "" && algo != buildAlgorithm {
+		httpError(w, http.StatusBadRequest, "unknown algorithm %q: the service builds %s only", algo, buildAlgorithm)
 		return
 	}
 
@@ -1066,7 +1050,6 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		cancel()
 	}()
 	s.obs.Counter(metricBuilds).Inc()
-	s.obs.SetText(metricBuildAlgo, algo)
 
 	// The build runs over the view current now: an immutable corpus, so
 	// uploads and reads proceed while the construction churns, and whatever
@@ -1091,25 +1074,9 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 
 	provider := knn.NewPackedSHFProvider(snap.corpus)
 	start := time.Now()
-	bopts := knn.Options{Ctx: ctx, Obs: s.obs}
-	var g *knn.Graph
-	var stats knn.Stats
-	var clusters *cluster.Assignment
-	switch algo {
-	case "bruteforce":
-		g, stats = knn.BruteForce(provider, k, bopts)
-	case "hyrec":
-		g, stats = knn.Hyrec(provider, k, bopts)
-	case "nndescent":
-		g, stats = knn.NNDescent(provider, k, bopts)
-	case "cluster":
-		// Keep the assignment: its hashes seed graph-search entry points
-		// on the query path for the lifetime of this epoch.
-		g, clusters, stats = knn.ClusterConquerWith(provider, k, bopts, knn.ClusterConfig{
-			Views:          int(s.clusterViews.Load()),
-			MaxClusterSize: int(s.clusterMaxSize.Load()),
-		})
-	}
+	// Keep the assignment: its hashes seed graph-search entry points on the
+	// query path for the lifetime of this epoch.
+	g, clusters, stats := knn.ClusterConquerWith(provider, k, knn.Options{Ctx: ctx, Obs: s.obs}, knn.ClusterConfig{})
 	duration := time.Since(start)
 
 	// A canceled or timed-out build publishes nothing: the previous epoch
@@ -1118,12 +1085,12 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		if errors.Is(ctxErr, context.DeadlineExceeded) {
 			s.obs.Counter(metricTimeouts).Inc()
-			msg := fmt.Sprintf("build (%s, k=%d) exceeded the %s deadline; previous epoch still serves", algo, k, timeout)
+			msg := fmt.Sprintf("build (k=%d) exceeded the %s deadline; previous epoch still serves", k, timeout)
 			s.obs.SetText(metricLastError, msg)
 			httpError(w, http.StatusGatewayTimeout, "%s", msg)
 		} else {
 			s.obs.Counter(metricCanceled).Inc()
-			msg := fmt.Sprintf("build (%s, k=%d) canceled after %s; previous epoch still serves", algo, k, duration.Round(time.Millisecond))
+			msg := fmt.Sprintf("build (k=%d) canceled after %s; previous epoch still serves", k, duration.Round(time.Millisecond))
 			s.obs.SetText(metricLastError, msg)
 			httpError(w, http.StatusConflict, "%s", msg)
 		}
@@ -1180,7 +1147,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		seq:       s.epochSeq.Add(1),
 		clusters:  clusters,
 		k:         k,
-		algorithm: algo,
+		algorithm: buildAlgorithm,
 		builtAt:   start,
 		duration:  duration,
 		stats:     stats,
@@ -1212,7 +1179,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BuildResult{
 		Users:       len(users),
 		K:           k,
-		Algorithm:   algo,
+		Algorithm:   buildAlgorithm,
 		Comparisons: stats.Comparisons,
 		Iterations:  stats.Iterations,
 		Epoch:       ep.seq,
@@ -1413,17 +1380,16 @@ func maskDeleted(deleted cow.View[bool], lo, hi int, out []float64) {
 // cluster epoch contributes to a graph query.
 const clusterQuerySeeds = 48
 
-// querySeeds picks graph-search entry points for fp. With a cluster
-// epoch the query's own hash buckets supply entry points that are already
+// querySeeds picks graph-search entry points for fp. With a built epoch
+// the query's own hash buckets supply entry points that are already
 // likely to be similar to it — the descent starts next to its target
 // instead of walking in from evenly spread strangers — layered on top of
 // the full default spread (knn.DefaultSeeds): the spread is what keeps
 // every region of a directed KNN graph reachable, and the warm bucket
 // seeds raise the beam's floor early so weaker paths are pruned sooner.
-// Without an assignment (other algorithms, recovered epochs) it returns
-// nil and GraphSearch uses its default spread alone. n is the served
-// graph's current node count — the live graph may have grown past the
-// build-time user table.
+// Without an assignment (a recovered epoch) it returns nil and GraphSearch
+// uses its default spread alone. n is the served graph's current node
+// count — the live graph may have grown past the build-time user table.
 func querySeeds(ep *graphEpoch, fp core.Fingerprint, n int) []int32 {
 	if ep.clusters == nil || len(ep.clusters.Views) == 0 {
 		return nil

@@ -80,7 +80,7 @@ func TestUploadBuildNeighborsFlow(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := http.Post(ts.URL+"/graph/build?k=5&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=5", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestHugeKIsClampedNotFatal(t *testing.T) {
 		t.Errorf("huge-k query returned %d results, want all 2", len(got))
 	}
 
-	bresp, err := http.Post(ts.URL+"/graph/build?k=1000000000000000000&algo=bruteforce", "", nil)
+	bresp, err := http.Post(ts.URL+"/graph/build?k=1000000000000000000", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestConcurrentUploadsAndQueries(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		putFingerprint(t, ts, scheme, userID(i), d.Profiles[i]).Body.Close()
 	}
-	resp, err := http.Post(ts.URL+"/graph/build?k=3&algo=bruteforce", "", nil)
+	resp, err := http.Post(ts.URL+"/graph/build?k=3", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestReuploadReplacesAndStaysLive(t *testing.T) {
 	ts, scheme := newTestServer(t)
 	putFingerprint(t, ts, scheme, "a", profile.New(1, 2)).Body.Close()
 	putFingerprint(t, ts, scheme, "b", profile.New(2, 3)).Body.Close()
-	resp, _ := http.Post(ts.URL+"/graph/build?k=1&algo=bruteforce", "", nil)
+	resp, _ := http.Post(ts.URL+"/graph/build?k=1", "", nil)
 	resp.Body.Close()
 
 	// Re-upload a: the overwrite is applied to the live graph, so the user

@@ -22,9 +22,19 @@ import (
 	"goldfinger/internal/knn"
 )
 
-// viewFixture fingerprints n+extra seeded ML-shaped users, registers the
-// first n as u0..u(n-1) through the mutation site and builds the epoch.
-func viewFixture(t *testing.T, n, extra int, algo string) (*Server, []core.Fingerprint) {
+// viewFixture is memberFixture with the epoch built.
+func viewFixture(t *testing.T, n, extra int) (*Server, []core.Fingerprint) {
+	t.Helper()
+	srv, fps := memberFixture(t, n, extra)
+	if rec := serve(srv, http.MethodPost, "/graph/build?k=8", nil); rec.Code != http.StatusOK {
+		t.Fatalf("build: status %d: %s", rec.Code, rec.Body)
+	}
+	return srv, fps
+}
+
+// memberFixture fingerprints n+extra seeded ML-shaped users and registers
+// the first n as u0..u(n-1) through the mutation site.
+func memberFixture(t *testing.T, n, extra int) (*Server, []core.Fingerprint) {
 	t.Helper()
 	ds := dataset.Generate(dataset.ML10M, float64(n+extra+2)/float64(dataset.ML10M.Users), 29)
 	if len(ds.Profiles) < n+extra {
@@ -39,9 +49,6 @@ func viewFixture(t *testing.T, n, extra int, algo string) (*Server, []core.Finge
 		if _, err := srv.applyPut(memberID(i), fp); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if rec := serve(srv, http.MethodPost, "/graph/build?k=8&algo="+algo, nil); rec.Code != http.StatusOK {
-		t.Fatalf("build: status %d: %s", rec.Code, rec.Body)
 	}
 	return srv, fps
 }
@@ -103,7 +110,7 @@ func copyView(v *view) viewCopy {
 // written in place.
 func TestOnlineViewImmutableUnderMutations(t *testing.T) {
 	const n = 400
-	srv, fps := viewFixture(t, n, 300, "bruteforce")
+	srv, fps := viewFixture(t, n, 300)
 	// A few tombstones before the view is taken, so its flags are not all
 	// false.
 	for _, i := range []int{3, 77, 250} {
@@ -175,7 +182,7 @@ func TestOnlineMutationAllocScaling(t *testing.T) {
 		t.Skip("allocation volume is not meaningful under -race")
 	}
 	perOp := func(n int) float64 {
-		srv, fps := viewFixture(t, n, 200, "cluster")
+		srv, fps := viewFixture(t, n, 200)
 		run := func(from, to int) {
 			for m := from; m < to; m++ {
 				body := wireBytes(t, fps[n+m])
