@@ -17,11 +17,13 @@
 // bodies larger than the server's wire size (the server must answer 413
 // without reading the flood).
 //
-// The JSON report (BENCH_load.json schema) separates accepted from
+// The JSON report (-out, the Report type) separates accepted from
 // rejected latencies: a healthy overloaded server shows accepted p99
 // close to its unloaded p99 and rejected p99 near zero — shedding is only
 // graceful if saying no is fast and the work that was said yes to stays
-// fast.
+// fast. It goes to stdout unless -out names a file, which it replaces
+// whole: never name BENCH_load.json, which holds only the chaos sections
+// `make shardcheck` and `make clustercheck` record.
 //
 // -build POSTs /graph/build after seeding, with no algo parameter, so the
 // server builds with its one builder, Cluster-and-Conquer. (Older servers
@@ -32,7 +34,7 @@
 // Usage:
 //
 //	knnload -addr localhost:8080 -duration 30s -rate 2000 -mix 0.9 \
-//	  -delmix 0.2 -slow 16 -oversize 8 -out BENCH_load.json
+//	  -delmix 0.2 -slow 16 -oversize 8
 package main
 
 import (
@@ -77,7 +79,7 @@ type LatencySummary struct {
 	MaxMs float64 `json:"max_ms"`
 }
 
-// Report is the BENCH_load.json schema.
+// Report is the JSON report -out writes.
 type Report struct {
 	Addr        string  `json:"addr"`
 	DurationSec float64 `json:"duration_sec"`

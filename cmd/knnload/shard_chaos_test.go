@@ -649,8 +649,7 @@ func TestShardChaosKillOneOfFour(t *testing.T) {
 var recordTo = flag.String("record", "", "merge the measured chaos sections into this JSON file")
 
 // mergeBenchSections merges named sections into the -record document,
-// preserving every key it does not own (the flat load-test report knnload
-// writes there, the other harness's sections).
+// preserving every key it does not own (the other harness's sections).
 func mergeBenchSections(t *testing.T, sections map[string]any) {
 	t.Helper()
 	path := *recordTo

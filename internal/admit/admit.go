@@ -382,9 +382,12 @@ func (l *limiter) unqueue(wait time.Duration) {
 	l.hWait.Observe(wait.Seconds())
 }
 
+// release counts the request out before it frees the slot, so a waiter
+// that takes the slot can never be counted while this one still is:
+// inflight stays at or below MaxInflight.
 func (l *limiter) release() {
-	<-l.slots
 	l.gInflight.Set(l.inflight.Add(-1))
+	<-l.slots
 }
 
 // retryAfter estimates when a retry is likely to be admitted: roughly the

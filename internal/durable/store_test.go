@@ -451,7 +451,7 @@ func TestEpochSnapshotRoundTrip(t *testing.T) {
 // write path plus threshold-triggered compaction produces. Appends are
 // serialized by a writer mutex (as the service's writeMu does) so mutSeq
 // matches append order; compactions run outside it. Run under -race by
-// crashcheck.
+// `make racecheck`.
 func TestConcurrentAppendsAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTest(t, dir, OSFS{})

@@ -9,9 +9,9 @@ import (
 )
 
 // Synthetic bench corpus: fingerprint-shaped profiles at the paper's
-// defaults (b = 1024). n is kept moderate so `make benchsmoke`
-// (-benchtime=1x) stays fast; cmd/benchknn runs the acceptance-scale
-// n = 10k measurement.
+// defaults (b = 1024). n is kept moderate so `make test`
+// (-benchtime=1x) stays fast; the benchmark's knn.brute_s is the
+// acceptance-scale n = 10k measurement.
 func benchCorpus(n int) ([]profile.Profile, *core.Scheme) {
 	rng := rand.New(rand.NewSource(97))
 	profiles := make([]profile.Profile, n)

@@ -250,9 +250,9 @@ func mergeLocals(g *Graph, locals []*bruteLocal, kCap, workers int) {
 // LegacyBruteForce is the pre-packed-corpus implementation: a per-row work
 // channel, one Provider.Similarity interface call and one CountingProvider
 // atomic per pair, and a mutex around every neighborhood insert. It is
-// retained as the reference for the equivalence tests and as the baseline
-// the BENCH_knn.json before/after numbers are measured against; new code
-// should call BruteForce.
+// retained only as the tests' reference: the equivalence tests compare
+// BruteForce against it, and the packed-corpus benchmarks measure it as
+// the baseline. New code should call BruteForce.
 func LegacyBruteForce(p Provider, k int, opts Options) (*Graph, Stats) {
 	n := p.NumUsers()
 	nhs := make([]*neighborhood, n)

@@ -13,7 +13,7 @@ import (
 // visible, forcing BruteForce onto its fallback path.
 type hideBatch struct{ inner Provider }
 
-func (h hideBatch) NumUsers() int              { return h.inner.NumUsers() }
+func (h hideBatch) NumUsers() int               { return h.inner.NumUsers() }
 func (h hideBatch) Similarity(u, v int) float64 { return h.inner.Similarity(u, v) }
 
 func graphsIdentical(t *testing.T, a, b *Graph, label string) {

@@ -32,9 +32,10 @@ type ClusterConfig struct {
 // defaultRefineSweeps caps the refinement loop. The cluster scan already
 // starts the graph close to converged — three reverse-augmented sweeps
 // recover the cross-cluster edges (measured recall at n=100k matches
-// NNDescent's, see BENCH_knn.json) — so unlike NNDescent's 30-iteration
-// default from a random start, a small cap is the speed lever here:
-// further sweeps buy tenths of a percent for ~15% more build time each.
+// NNDescent's; the benchmark tracks it as knn.cc_recall) — so unlike
+// NNDescent's 30-iteration default from a random start, a small cap is
+// the speed lever here: further sweeps buy tenths of a percent for ~15%
+// more build time each.
 const defaultRefineSweeps = 3
 
 // ClusterConquer builds an approximate KNN graph with the

@@ -52,9 +52,9 @@ func TestClusterConquerDeterministic(t *testing.T) {
 }
 
 // TestClusterBruteParity holds ClusterConquer to a quality floor against
-// the exact BruteForce graph on a multi-cluster corpus. This is the
-// `make benchcluster` smoke: small enough to run in seconds, real enough
-// to catch a broken scan, merge, or refine.
+// the exact BruteForce graph on a multi-cluster corpus: small enough to
+// run in seconds on every `make check`, real enough to catch a broken
+// scan, merge, or refine.
 func TestClusterBruteParity(t *testing.T) {
 	d := clusterDataset(t, 2000)
 	scheme := core.MustScheme(1024, 99)

@@ -387,8 +387,8 @@ func TestHarnessOnlineChurnTracksBatchBuild(t *testing.T) {
 // latency must stay in single-digit milliseconds. The graph search plus
 // bounded reverse-edge repair is O(ef·k) per insert, independent of n —
 // this floor catches an accidental O(n) scan sneaking into the mutation
-// path. BENCH_knn.json's online_insert section tracks the n=100k number;
-// this is the cheap every-`make onlinecheck` guard.
+// path. The benchmark's knn.online_insert_us tracks the n=100k number;
+// this is the cheap every-`make check` guard.
 func TestOnlineInsertLatencyFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs the full 10k base graph")

@@ -51,10 +51,11 @@ type SearchOptions struct {
 	// ef trades latency for recall. 0 means max(64, 16k) — sized on the
 	// synthetic ML10M shape, where it holds recall@10 ≥ 0.9 on an
 	// NNDescent-built Navigable graph at both 10k and 100k while keeping
-	// the p50 well under the exact scan's (see TestGraphScanParity10k and
-	// BENCH_knn.json's query section); values below k are raised to k,
-	// values above n clamp to n (at which point the "search" degenerates
-	// into a scan — expected for tiny corpora).
+	// the p50 well under the exact scan's (see TestGraphScanParity10k; the
+	// benchmark's knn.search_recall_at_10 tracks the served graph at
+	// 100k); values below k are raised to k, values above n clamp to n
+	// (at which point the "search" degenerates into a scan — expected for
+	// tiny corpora).
 	Ef int
 	// NumSeeds is the number of evenly-spread entry points when Seeds is
 	// nil. Multiple seeds hedge against greedy descent starting in the

@@ -304,8 +304,8 @@ func checkNavigable(t *testing.T, name string, g *Graph, p Provider) {
 
 // TestNavigableMatchesReference is the differential test of the parallel
 // Navigable: on random graphs built to tie and to overflow the cap, its
-// output equals the sequential reference's at every GOMAXPROCS. Runs under
-// -race in `make parity`.
+// output equals the sequential reference's at every GOMAXPROCS. Runs with
+// and without -race in `make check`.
 func TestNavigableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	trials := 400
@@ -741,7 +741,7 @@ func ringGraph(n, peak int) (*Graph, tableOracle) {
 // the graph being searched, so one pooled state used over a large graph, a
 // small one and the large one again — and over an online graph that grows
 // between searches — never reports a visit left by an earlier query. Runs
-// under -race in `make parity` and `make racecheck`.
+// with and without -race in `make check`.
 func TestGraphSearchScratchReuse(t *testing.T) {
 	st := new(searchState)
 	for _, n := range []int{50000, 500, 50000, 50001, 70000} {
@@ -836,8 +836,7 @@ func TestSpreadSeedsClosedForm(t *testing.T) {
 }
 
 // TestGraphScanParity10k is the scan-vs-graph parity floor of `make
-// racecheck`: at n=10k on an NNDescent-built graph (the builder the query
-// bench compares against), graph-mode recall@10 against
+// check`: at n=10k on an NNDescent-built graph, graph-mode recall@10 against
 // the exact scan must stay at or above 0.9 while touching a small
 // fraction of the corpus.
 func TestGraphScanParity10k(t *testing.T) {

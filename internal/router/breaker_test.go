@@ -10,8 +10,8 @@ import (
 // fakeClock lets breaker tests step time deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestBreaker(cfg BreakerConfig) (*Breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b := NewBreaker(cfg, obs.NewWindow(cfg.window()), nil, nil)
