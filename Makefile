@@ -13,9 +13,12 @@ build:
 # iteration of every benchmark, `racecheck` the whole suite again under
 # the race detector. Then a short fuzz burst over every fuzz target, and
 # the repo's benchmark (bench/, its own module, invisible to ./...) at
-# smoke scale.
+# smoke scale. Last, vet — on amd64, where it also checks the assembly
+# kernels' frame layouts against their Go declarations, and on arm64,
+# which has no assembly, so the portable Go path keeps compiling.
 check: fmt test racecheck fuzzshort perfsmoke
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Fails when gofmt would change any file, bench/ included (gofmt walks
 # every directory below the root, nested module or not).
@@ -91,21 +94,29 @@ experiments:
 	$(GO) run ./cmd/goldfinger all
 
 fuzz:
+	$(GO) test -fuzz=FuzzAndCountKernels -fuzztime=30s ./internal/bitset
 	$(GO) test -fuzz=FuzzReadFingerprint$$ -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzReadFingerprintSet -fuzztime=30s ./internal/core
+	$(GO) test -fuzz=FuzzPackedJaccard -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzParseMovieLens -fuzztime=30s ./internal/dataset
+	$(GO) test -fuzz=FuzzParseEdgeList -fuzztime=30s ./internal/dataset
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzDecodeEpoch -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzMergeTopK -fuzztime=30s ./internal/router
 
-# 10 seconds per fuzz target — enough for the seeded corpora (codec round
-# trips, the capped-prealloc set path, the ratings parser) to shake out
-# regressions on every `make check` without stalling the loop.
+# 10 seconds per fuzz target — enough for the seeded corpora (the 16-word
+# kernels against the Go reference, codec round trips, the capped-prealloc
+# set path, packed against per-pair Jaccard, the ratings and edge-list
+# parsers) to shake out regressions on every `make check` without stalling
+# the loop.
 fuzzshort:
+	$(GO) test -fuzz=FuzzAndCountKernels -fuzztime=10s ./internal/bitset
 	$(GO) test -fuzz=FuzzReadFingerprint$$ -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzReadFingerprintSet -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzPackedJaccard -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzParseMovieLens -fuzztime=10s ./internal/dataset
+	$(GO) test -fuzz=FuzzParseEdgeList -fuzztime=10s ./internal/dataset
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzDecodeEpoch -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=10s ./internal/durable

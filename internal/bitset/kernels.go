@@ -35,6 +35,9 @@ func AndCountWords4(a, b []uint64) int {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("bitset: word-slice length mismatch %d != %d", len(a), len(b)))
 	}
+	if len(a) == 16 && hasVPOPCNTQ {
+		return andCount16Asm(a, b)
+	}
 	b = b[:len(a)]
 	var n0, n1, n2, n3 int
 	i := 0
@@ -119,7 +122,11 @@ func AndCountInto(query, corpus []uint64, stride int, out []int32) {
 	}
 	q := len(query)
 	if q == 16 && stride == 16 {
-		andCountInto16(query, corpus, out)
+		if hasVPOPCNTQ {
+			andCountInto16Asm(query, corpus, out)
+		} else {
+			andCountInto16(query, corpus, out)
+		}
 		return
 	}
 	for r := 0; r < rows; r++ {
@@ -167,72 +174,25 @@ func andCountInto16(query, corpus []uint64, out []int32) {
 
 // AndCountGather is the one-vs-scattered kernel: out[i] receives
 // popcount(query AND corpus[ids[i]*stride : ids[i]*stride+len(query)]).
-// Candidate scoring in the refinement sweep picks a few hundred rows by id
-// per user — there is no contiguous range to stream, but hoisting the
-// query words into locals across the whole id list amortizes the query
-// loads exactly like the tiled kernel does per block. len(query) may be
-// smaller than stride (trailing pad words are ignored); it panics if the
-// geometry is inconsistent. Row ids are bounds-checked by the row slicing.
+// It is AndCountGatherPaged over a one-page table — every int32 id ≥ 0 is
+// on page 0 at shift 31 — so the flat and the paged corpus share one
+// gather kernel. len(query) may be smaller than stride (trailing pad words
+// are ignored); it panics if the geometry is inconsistent or an id is out
+// of range.
 func AndCountGather(query, corpus []uint64, stride int, ids []int32, out []int32) {
-	if len(ids) != len(out) {
-		panic(fmt.Sprintf("bitset: %d gather ids but %d outputs", len(ids), len(out)))
-	}
-	if stride < len(query) {
-		panic(fmt.Sprintf("bitset: stride %d shorter than query length %d", stride, len(query)))
-	}
-	q := len(query)
-	if q == 16 && stride == 16 {
-		andCountGather16(query, corpus, ids, out)
-		return
-	}
-	for i, id := range ids {
-		base := int(id) * stride
-		row := corpus[base : base+q : base+q]
-		var n0, n1, n2, n3 int
-		w := 0
-		for ; w+4 <= q; w += 4 {
-			n0 += bits.OnesCount64(query[w] & row[w])
-			n1 += bits.OnesCount64(query[w+1] & row[w+1])
-			n2 += bits.OnesCount64(query[w+2] & row[w+2])
-			n3 += bits.OnesCount64(query[w+3] & row[w+3])
-		}
-		for ; w < q; w++ {
-			n0 += bits.OnesCount64(query[w] & row[w])
-		}
-		out[i] = int32(n0 + n1 + n2 + n3)
-	}
+	AndCountGatherPaged(query, [][]uint64{corpus}, 31, stride, ids, out)
 }
 
-// andCountGather16 is AndCountGather specialized for the paper's default
-// geometry exactly like andCountInto16: fully unrolled row body, four
-// independent accumulator chains, query words pinned in registers across
-// the whole id list.
-func andCountGather16(query, corpus []uint64, ids []int32, out []int32) {
-	q := query[:16:16]
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	q4, q5, q6, q7 := q[4], q[5], q[6], q[7]
-	q8, q9, q10, q11 := q[8], q[9], q[10], q[11]
-	q12, q13, q14, q15 := q[12], q[13], q[14], q[15]
-	for i, id := range ids {
-		base := int(id) * 16
-		row := corpus[base : base+16 : base+16]
-		n0 := bits.OnesCount64(q0&row[0]) + bits.OnesCount64(q4&row[4]) +
-			bits.OnesCount64(q8&row[8]) + bits.OnesCount64(q12&row[12])
-		n1 := bits.OnesCount64(q1&row[1]) + bits.OnesCount64(q5&row[5]) +
-			bits.OnesCount64(q9&row[9]) + bits.OnesCount64(q13&row[13])
-		n2 := bits.OnesCount64(q2&row[2]) + bits.OnesCount64(q6&row[6]) +
-			bits.OnesCount64(q10&row[10]) + bits.OnesCount64(q14&row[14])
-		n3 := bits.OnesCount64(q3&row[3]) + bits.OnesCount64(q7&row[7]) +
-			bits.OnesCount64(q11&row[11]) + bits.OnesCount64(q15&row[15])
-		out[i] = int32(n0 + n1 + n2 + n3)
-	}
-}
-
-// AndCountGatherPaged is AndCountGather over a paged corpus: row id lives
-// in pages[id>>shift] at row (id mod 1<<shift) of that page, every page
-// holding its rows back to back at the given stride. The only cost over the
-// flat kernel is one load from the page table per row — a table of n>>shift
-// slice headers that stays cache-resident across the id list. It panics if
+// AndCountGatherPaged is the one-vs-scattered kernel over a paged corpus:
+// out[i] receives popcount(query AND row ids[i]), where row id lives in
+// pages[id>>shift] at row (id mod 1<<shift) of that page, every page
+// holding its rows back to back at the given stride. Candidate scoring
+// picks a few hundred rows by id — there is no contiguous range to stream,
+// but hoisting the query words into locals across the whole id list
+// amortizes the query loads exactly like the tiled kernel does per block.
+// Reaching a row costs one load from the page table — a table of n>>shift
+// slice headers that stays cache-resident across the id list. len(query)
+// may be smaller than stride (trailing pad words are ignored); it panics if
 // the geometry is inconsistent; row ids are bounds-checked by the page
 // index and the row slicing.
 func AndCountGatherPaged(query []uint64, pages [][]uint64, shift uint, stride int, ids []int32, out []int32) {
@@ -245,7 +205,11 @@ func AndCountGatherPaged(query []uint64, pages [][]uint64, shift uint, stride in
 	mask := 1<<shift - 1
 	q := len(query)
 	if q == 16 && stride == 16 {
-		andCountGatherPaged16(query, pages, shift, ids, out)
+		if hasVPOPCNTQ {
+			andCountGatherPaged16Asm(query, pages, shift, ids, out)
+		} else {
+			andCountGatherPaged16(query, pages, shift, ids, out)
+		}
 		return
 	}
 	for i, id := range ids {
@@ -267,7 +231,9 @@ func AndCountGatherPaged(query []uint64, pages [][]uint64, shift uint, stride in
 }
 
 // andCountGatherPaged16 is AndCountGatherPaged at the paper's default
-// geometry, unrolled exactly like andCountGather16.
+// geometry, unrolled exactly like andCountInto16: fully unrolled row body,
+// four independent accumulator chains, query words pinned in registers
+// across the whole id list.
 func andCountGatherPaged16(query []uint64, pages [][]uint64, shift uint, ids []int32, out []int32) {
 	mask := 1<<shift - 1
 	q := query[:16:16]

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -34,6 +35,43 @@ func randomWords(rng *rand.Rand, n int) []uint64 {
 	return out
 }
 
+// rows16 returns n 16-word rows back to back, cycling through random,
+// all-zero and all-ones rows so every run holds all three.
+func rows16(rng *rand.Rand, n int) []uint64 {
+	out := make([]uint64, 16*n)
+	for r := 0; r < n; r++ {
+		row := out[16*r : 16*r+16]
+		switch r % 3 {
+		case 0:
+			copy(row, randomWords(rng, 16))
+		case 2:
+			for i := range row {
+				row[i] = ^uint64(0)
+			}
+		}
+	}
+	return out
+}
+
+// queries16 are the 16-word queries the assembly parity checks run: one
+// random, all-zero and all-ones.
+func queries16(rng *rand.Rand) [][]uint64 {
+	ones := make([]uint64, 16)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	return [][]uint64{randomWords(rng, 16), make([]uint64, 16), ones}
+}
+
+// needAsm skips the assembly half of a parity test on CPUs without AVX-512
+// VPOPCNTQ, where every entry point runs the Go kernels.
+func needAsm(t *testing.T) {
+	t.Helper()
+	if !hasVPOPCNTQ {
+		t.Skip("no AVX-512 VPOPCNTQ: the entry points run the Go kernels")
+	}
+}
+
 func TestAndCountWordsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Lengths around the unroll boundary and typical fingerprint strides
@@ -50,6 +88,22 @@ func TestAndCountWordsMatchReference(t *testing.T) {
 			}
 		}
 	}
+	t.Run("asm16", func(t *testing.T) {
+		needAsm(t)
+		rows := rows16(rng, 30)
+		for _, q := range queries16(rng) {
+			for r := 0; r < 30; r++ {
+				row := rows[16*r : 16*r+16]
+				want := AndCountWords(q, row) // the plain Go loop
+				if got := andCount16Asm(q, row); got != want {
+					t.Fatalf("row %d: asm %d, Go %d", r, got, want)
+				}
+				if got := AndCountWords4(q, row); got != want {
+					t.Fatalf("row %d: AndCountWords4 %d, Go %d", r, got, want)
+				}
+			}
+		}
+	})
 }
 
 func TestAndCountWordsLengthMismatchPanics(t *testing.T) {
@@ -88,6 +142,27 @@ func TestAndCountIntoMatchesPerRow(t *testing.T) {
 			}
 		}
 	}
+	t.Run("asm16", func(t *testing.T) {
+		needAsm(t)
+		// 0 rows, one chunk, exactly one and more than one 256-row chunk.
+		for _, rows := range []int{0, 1, 255, 256, 257, 700} {
+			corpus := rows16(rng, rows)
+			for _, q := range queries16(rng) {
+				goOut, asmOut, pubOut := make([]int32, rows), make([]int32, rows), make([]int32, rows)
+				andCountInto16(q, corpus, goOut)
+				andCountInto16Asm(q, corpus, asmOut)
+				AndCountInto(q, corpus, 16, pubOut)
+				for r := range goOut {
+					if want := int32(andCountRef(q, corpus[16*r:16*r+16])); goOut[r] != want {
+						t.Fatalf("%d rows, row %d: Go %d, reference %d", rows, r, goOut[r], want)
+					}
+					if asmOut[r] != goOut[r] || pubOut[r] != goOut[r] {
+						t.Fatalf("%d rows, row %d: asm %d, AndCountInto %d, Go %d", rows, r, asmOut[r], pubOut[r], goOut[r])
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestAndCountGatherMatchesPerRow(t *testing.T) {
@@ -130,6 +205,59 @@ func TestAndCountGatherMatchesPerRow(t *testing.T) {
 			}
 		}
 	}
+	t.Run("asm16", func(t *testing.T) {
+		needAsm(t)
+		// 2500 rows in 1024-row pages, the last one partial, as
+		// core.PackedCorpus pages them.
+		const n, shift = 2500, 10
+		corpus := rows16(rng, n)
+		pages := [][]uint64{corpus[:1024*16], corpus[1024*16 : 2048*16], corpus[2048*16:]}
+		edges := []int32{0, 1023, 1024, n - 1}
+		many := make([]int32, 700)
+		for i := range many {
+			many[i] = int32(rng.Intn(n))
+		}
+		copy(many[250:], edges) // page edges straddling the first chunk boundary
+		for _, ids := range [][]int32{nil, edges, many} {
+			for _, q := range queries16(rng) {
+				goOut, asmOut := make([]int32, len(ids)), make([]int32, len(ids))
+				andCountGatherPaged16(q, pages, shift, ids, goOut)
+				andCountGatherPaged16Asm(q, pages, shift, ids, asmOut)
+				for i, id := range ids {
+					if want := int32(andCountRef(q, corpus[16*int(id):16*int(id)+16])); goOut[i] != want {
+						t.Fatalf("id %d: Go %d, reference %d", id, goOut[i], want)
+					}
+					if asmOut[i] != goOut[i] {
+						t.Fatalf("%d ids, id %d: asm %d, Go %d", len(ids), id, asmOut[i], goOut[i])
+					}
+				}
+				flat := make([]int32, len(ids))
+				AndCountGather(q, corpus, 16, ids, flat)
+				for i := range ids {
+					if flat[i] != goOut[i] {
+						t.Fatalf("flat corpus, id %d: AndCountGather %d, Go %d", ids[i], flat[i], goOut[i])
+					}
+				}
+			}
+		}
+		// An id off the table must panic before the assembly reads
+		// anything: the chunk holding it stays unwritten.
+		for _, bad := range []int32{-1, n, 3 << shift} {
+			ids := []int32{0, 1, bad}
+			out := []int32{-1, -1, -1}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("id %d: no panic", bad)
+					}
+				}()
+				andCountGatherPaged16Asm(corpus[:16], pages, shift, ids, out)
+			}()
+			if out[0] != -1 || out[1] != -1 {
+				t.Errorf("id %d: the assembly ran before the panic (out %v)", bad, out)
+			}
+		}
+	})
 }
 
 func TestAndCountGatherBadGeometryPanics(t *testing.T) {
@@ -249,4 +377,55 @@ func TestOnesSinglePassMatchesNextSetWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAndCountKernels checks the 16-word entry points — the assembly path
+// on CPUs with AVX-512 VPOPCNTQ — against the Go kernels and the per-word
+// reference on rows, ids and page sizes the fuzzer picks. The first 128
+// bytes of data are the query, the rest the rows; ids index the rows
+// modulo their count.
+func FuzzAndCountKernels(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 1, 2}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 128*5), []byte{4, 0, 3, 3}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0x5a, 0x0f, 0}, 128*3), bytes.Repeat([]byte{7, 200, 31}, 120), uint8(2))
+	f.Fuzz(func(t *testing.T, data, idBytes []byte, shift uint8) {
+		words := make([]uint64, max(2, (len(data)+127)/128)*16)
+		for i, b := range data {
+			words[i/8] |= uint64(b) << (8 * (i % 8))
+		}
+		query, corpus := words[:16], words[16:]
+		n := len(corpus) / 16
+		ids := make([]int32, len(idBytes))
+		for i, b := range idBytes {
+			ids[i] = int32(int(b)+i) % int32(n)
+		}
+		sh := uint(shift % 5)
+		var pages [][]uint64
+		for lo := 0; lo < n; lo += 1 << sh {
+			pages = append(pages, corpus[16*lo:16*min(lo+1<<sh, n)])
+		}
+
+		goInto, into := make([]int32, n), make([]int32, n)
+		andCountInto16(query, corpus, goInto)
+		AndCountInto(query, corpus, 16, into)
+		for r := range into {
+			row := corpus[16*r : 16*r+16]
+			want := andCountRef(query, row)
+			if int(goInto[r]) != want || int(into[r]) != want {
+				t.Fatalf("row %d: AndCountInto %d, Go %d, reference %d", r, into[r], goInto[r], want)
+			}
+			if got := AndCountWords4(query, row); got != want {
+				t.Fatalf("row %d: AndCountWords4 %d, reference %d", r, got, want)
+			}
+		}
+		goGather, gather, flat := make([]int32, len(ids)), make([]int32, len(ids)), make([]int32, len(ids))
+		andCountGatherPaged16(query, pages, sh, ids, goGather)
+		AndCountGatherPaged(query, pages, sh, 16, ids, gather)
+		AndCountGather(query, corpus, 16, ids, flat)
+		for i, id := range ids {
+			if gather[i] != into[id] || flat[i] != into[id] || goGather[i] != into[id] {
+				t.Fatalf("id %d: paged %d, flat %d, Go %d, want %d", id, gather[i], flat[i], goGather[i], into[id])
+			}
+		}
+	})
 }

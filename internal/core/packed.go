@@ -325,7 +325,7 @@ func (c *PackedCorpus) JaccardRangeInto(u, lo, hi int, out []float64) {
 
 // JaccardGatherInto estimates Ĵ(u, ids[i]) into out[i] for a scattered
 // candidate list, bit-for-bit identical to per-pair Jaccard. It feeds the
-// gather kernel (bitset.AndCountGather) in tile-sized chunks so the
+// gather kernel (bitset.AndCountGatherPaged) in tile-sized chunks so the
 // intersection scratch stays on the stack.
 func (c *PackedCorpus) JaccardGatherInto(u int, ids []int32, out []float64) {
 	jaccardGather(c.Row(u), int(c.card(u)), c.rows.Pages(), c.cards.Pages(), c.stride, ids, out)
