@@ -96,29 +96,29 @@ experiments:
 fuzz:
 	$(GO) test -fuzz=FuzzAndCountKernels -fuzztime=30s ./internal/bitset
 	$(GO) test -fuzz=FuzzReadFingerprint$$ -fuzztime=30s ./internal/core
-	$(GO) test -fuzz=FuzzReadFingerprintSet -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzPackedJaccard -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzParseMovieLens -fuzztime=30s ./internal/dataset
 	$(GO) test -fuzz=FuzzParseEdgeList -fuzztime=30s ./internal/dataset
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzDecodeEpoch -fuzztime=30s ./internal/durable
+	$(GO) test -fuzz=FuzzDecodeState -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzMergeTopK -fuzztime=30s ./internal/router
 
 # 10 seconds per fuzz target — enough for the seeded corpora (the 16-word
-# kernels against the Go reference, codec round trips, the capped-prealloc
-# set path, packed against per-pair Jaccard, the ratings and edge-list
-# parsers) to shake out regressions on every `make check` without stalling
+# kernels against the Go reference, codec round trips, the WAL, epoch and
+# state decoders with their forged-count seeds, packed against per-pair
+# Jaccard, the ratings and edge-list parsers) to shake out regressions on every `make check` without stalling
 # the loop.
 fuzzshort:
 	$(GO) test -fuzz=FuzzAndCountKernels -fuzztime=10s ./internal/bitset
 	$(GO) test -fuzz=FuzzReadFingerprint$$ -fuzztime=10s ./internal/core
-	$(GO) test -fuzz=FuzzReadFingerprintSet -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzPackedJaccard -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzParseMovieLens -fuzztime=10s ./internal/dataset
 	$(GO) test -fuzz=FuzzParseEdgeList -fuzztime=10s ./internal/dataset
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzDecodeEpoch -fuzztime=10s ./internal/durable
+	$(GO) test -fuzz=FuzzDecodeState -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzMergeTopK -fuzztime=10s ./internal/router
 

@@ -76,17 +76,22 @@ func TestClientServerDeployment(t *testing.T) {
 	d := dataset.Generate(dataset.ML1M, 0.03, 7)
 	scheme := core.MustScheme(1024, 7)
 
-	// Client side: fingerprint and serialize.
+	// Client side: fingerprint and serialize, one upload per user.
 	fps := scheme.FingerprintAllParallel(d.Profiles, 0)
 	var wire bytes.Buffer
-	if err := core.WriteFingerprintSet(&wire, fps); err != nil {
-		t.Fatal(err)
+	for _, fp := range fps {
+		if err := core.WriteFingerprint(&wire, fp); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Server side: deserialize, verify privacy bounds, build the graph.
-	received, err := core.ReadFingerprintSet(&wire)
-	if err != nil {
-		t.Fatal(err)
+	received := make([]core.Fingerprint, len(fps))
+	for i := range received {
+		var err error
+		if received[i], err = core.ReadFingerprint(&wire); err != nil {
+			t.Fatal(err)
+		}
 	}
 	report := privacy.Assess(d.Name, d.Profiles, d.NumItems, scheme)
 	if report.KAnonymityBits <= 0 {

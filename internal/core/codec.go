@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"goldfinger/internal/bitset"
 )
@@ -14,31 +15,39 @@ import (
 //
 //	magic "SHF1" | uint32 bits | uint32 cardinality | bit-array words (LE)
 //
-// and a set of fingerprints as a uint32 count followed by each entry. All
-// integers are little-endian.
+// All integers are little-endian. The server's persisted formats (WAL,
+// snapshots, the migration stream) embed this encoding; their own codec
+// lives in internal/durable.
 
 var codecMagic = [4]byte{'S', 'H', 'F', '1'}
 
+// MaxUserIDBytes bounds one user id. External ids are short opaque
+// strings; the service refuses a longer one at upload, and the durable
+// formats refuse to write or read one.
+const MaxUserIDBytes = 1 << 12
+
+// AppendFingerprint appends the wire encoding of f to b.
+func AppendFingerprint(b []byte, f Fingerprint) ([]byte, error) {
+	if f.bits == nil {
+		return b, fmt.Errorf("core: cannot serialize a zero Fingerprint")
+	}
+	b = append(slices.Grow(b, 12+8*len(f.bits.Words())), codecMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(f.bits.Len()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(f.card))
+	for _, word := range f.bits.Words() {
+		b = binary.LittleEndian.AppendUint64(b, word)
+	}
+	return b, nil
+}
+
 // WriteFingerprint serializes one fingerprint to w.
 func WriteFingerprint(w io.Writer, f Fingerprint) error {
-	if f.bits == nil {
-		return fmt.Errorf("core: cannot serialize a zero Fingerprint")
+	b, err := AppendFingerprint(nil, f)
+	if err != nil {
+		return err
 	}
-	if _, err := w.Write(codecMagic[:]); err != nil {
-		return fmt.Errorf("core: writing magic: %w", err)
-	}
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(f.bits.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(f.card))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("core: writing header: %w", err)
-	}
-	buf := make([]byte, 8*len(f.bits.Words()))
-	for i, word := range f.bits.Words() {
-		binary.LittleEndian.PutUint64(buf[8*i:], word)
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("core: writing bit array: %w", err)
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("core: writing fingerprint: %w", err)
 	}
 	return nil
 }
@@ -77,117 +86,4 @@ func ReadFingerprint(r io.Reader) (Fingerprint, error) {
 		return Fingerprint{}, fmt.Errorf("core: cardinality mismatch: header says %d, bit array has %d", card, got)
 	}
 	return Fingerprint{bits: b, card: card}, nil
-}
-
-// WriteFingerprintSet serializes a set of fingerprints.
-func WriteFingerprintSet(w io.Writer, fps []Fingerprint) error {
-	var count [4]byte
-	binary.LittleEndian.PutUint32(count[:], uint32(len(fps)))
-	if _, err := w.Write(count[:]); err != nil {
-		return fmt.Errorf("core: writing count: %w", err)
-	}
-	for i, f := range fps {
-		if err := WriteFingerprint(w, f); err != nil {
-			return fmt.Errorf("core: fingerprint %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// maxUserIDBytes bounds one serialized user id. External ids are short
-// opaque strings; anything longer in a snapshot or WAL payload is corruption
-// (or an attack) and is rejected before allocation.
-const maxUserIDBytes = 1 << 12
-
-// WriteUserTable serializes a dense user table (index → external id) as a
-// uint32 count followed by length-prefixed ids. It is the snapshot-payload
-// companion of WriteFingerprintSet: entry i of the table names the owner of
-// fingerprint i.
-func WriteUserTable(w io.Writer, ids []string) error {
-	var count [4]byte
-	binary.LittleEndian.PutUint32(count[:], uint32(len(ids)))
-	if _, err := w.Write(count[:]); err != nil {
-		return fmt.Errorf("core: writing user count: %w", err)
-	}
-	var hdr [4]byte
-	for i, id := range ids {
-		if len(id) > maxUserIDBytes {
-			return fmt.Errorf("core: user id %d is %d bytes, max %d", i, len(id), maxUserIDBytes)
-		}
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(id)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return fmt.Errorf("core: writing user id %d length: %w", i, err)
-		}
-		if _, err := io.WriteString(w, id); err != nil {
-			return fmt.Errorf("core: writing user id %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadUserTable deserializes a user table written by WriteUserTable. Like
-// ReadFingerprintSet it treats the count as untrusted: the initial
-// allocation is capped and grows only as entries actually parse.
-func ReadUserTable(r io.Reader) ([]string, error) {
-	var count [4]byte
-	if _, err := io.ReadFull(r, count[:]); err != nil {
-		return nil, fmt.Errorf("core: reading user count: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(count[:])
-	if n > 1<<28 {
-		return nil, fmt.Errorf("core: implausible user count %d", n)
-	}
-	capHint := n
-	if capHint > 1024 {
-		capHint = 1024
-	}
-	out := make([]string, 0, capHint)
-	var hdr [4]byte
-	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("core: reading user id %d length: %w", i, err)
-		}
-		l := binary.LittleEndian.Uint32(hdr[:])
-		if l > maxUserIDBytes {
-			return nil, fmt.Errorf("core: user id %d is %d bytes, max %d", i, l, maxUserIDBytes)
-		}
-		buf := make([]byte, l)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("core: reading user id %d: %w", i, err)
-		}
-		out = append(out, string(buf))
-	}
-	return out, nil
-}
-
-// ReadFingerprintSet deserializes a set of fingerprints and verifies that
-// all entries share one length (mixed schemes cannot be compared).
-func ReadFingerprintSet(r io.Reader) ([]Fingerprint, error) {
-	var count [4]byte
-	if _, err := io.ReadFull(r, count[:]); err != nil {
-		return nil, fmt.Errorf("core: reading count: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(count[:])
-	if n > 1<<28 {
-		return nil, fmt.Errorf("core: implausible fingerprint count %d", n)
-	}
-	// The count is attacker-controlled: cap the initial allocation and let
-	// append grow as entries actually parse, so a forged header cannot
-	// reserve gigabytes up front.
-	capHint := n
-	if capHint > 1024 {
-		capHint = 1024
-	}
-	out := make([]Fingerprint, 0, capHint)
-	for i := uint32(0); i < n; i++ {
-		f, err := ReadFingerprint(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: fingerprint %d: %w", i, err)
-		}
-		if len(out) > 0 && f.NumBits() != out[0].NumBits() {
-			return nil, fmt.Errorf("core: fingerprint %d has %d bits, set uses %d", i, f.NumBits(), out[0].NumBits())
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }

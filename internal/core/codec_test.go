@@ -98,57 +98,6 @@ func TestReadFingerprintErrors(t *testing.T) {
 	}
 }
 
-func TestFingerprintSetRoundTrip(t *testing.T) {
-	s := MustScheme(512, 8)
-	fps := s.FingerprintAll([]profile.Profile{
-		profile.New(1, 2),
-		profile.New(3, 4, 5),
-		nil,
-	})
-	var buf bytes.Buffer
-	if err := WriteFingerprintSet(&buf, fps); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFingerprintSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(fps) {
-		t.Fatalf("got %d fingerprints, want %d", len(got), len(fps))
-	}
-	for i := range fps {
-		if !got[i].Bits().Equal(fps[i].Bits()) {
-			t.Errorf("fingerprint %d changed", i)
-		}
-	}
-}
-
-func TestFingerprintSetEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFingerprintSet(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFingerprintSet(&buf)
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty set round trip: %v, %v", got, err)
-	}
-}
-
-func TestFingerprintSetMixedLengthsRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFingerprint(&buf, MustScheme(64, 1).Fingerprint(profile.New(1))); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFingerprint(&buf, MustScheme(128, 1).Fingerprint(profile.New(1))); err != nil {
-		t.Fatal(err)
-	}
-	// Prepend a count of 2 manually.
-	data := append([]byte{2, 0, 0, 0}, buf.Bytes()...)
-	if _, err := ReadFingerprintSet(bytes.NewReader(data)); err == nil {
-		t.Error("mixed-length set accepted")
-	}
-}
-
 // TestCodecPreservesSimilarity is the deployment scenario end to end:
 // fingerprints serialized by clients and deserialized by the server give
 // the same estimates as the originals.
@@ -158,35 +107,20 @@ func TestCodecPreservesSimilarity(t *testing.T) {
 	p2 := profile.New(5, 6, 7, 8, 9, 10, 11, 12)
 	f1, f2 := s.Fingerprint(p1), s.Fingerprint(p2)
 	var buf bytes.Buffer
-	if err := WriteFingerprintSet(&buf, []Fingerprint{f1, f2}); err != nil {
-		t.Fatal(err)
+	for _, f := range []Fingerprint{f1, f2} {
+		if err := WriteFingerprint(&buf, f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := ReadFingerprintSet(&buf)
+	g1, err := ReadFingerprint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Jaccard(got[0], got[1]) != Jaccard(f1, f2) {
-		t.Error("similarity changed across the wire")
-	}
-}
-
-func TestFingerprintSetForgedCountCapsAllocation(t *testing.T) {
-	// A 4-byte header claiming 2^28 entries followed by no data must fail
-	// on the first missing entry without reserving entry-count capacity up
-	// front (2^28 Fingerprints would be multiple GiB).
-	data := []byte{0, 0, 0, 0x10} // count = 1<<28, little-endian
-	if _, err := ReadFingerprintSet(bytes.NewReader(data)); err == nil {
-		t.Fatal("truncated set with forged count accepted")
-	}
-
-	// A large-but-plausible claimed count with one valid entry still
-	// parses what is actually present before hitting the truncation.
-	var buf bytes.Buffer
-	if err := WriteFingerprint(&buf, MustScheme(64, 1).Fingerprint(profile.New(1))); err != nil {
+	g2, err := ReadFingerprint(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data = append([]byte{0, 0, 0x10, 0}, buf.Bytes()...) // count = 1<<20
-	if _, err := ReadFingerprintSet(bytes.NewReader(data)); err == nil {
-		t.Fatal("truncated set accepted")
+	if Jaccard(g1, g2) != Jaccard(f1, f2) {
+		t.Error("similarity changed across the wire")
 	}
 }

@@ -45,69 +45,3 @@ func FuzzReadFingerprint(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadFingerprintSet exercises the set reader the same way, and pins
-// down the round-trip property: any accepted set must re-serialize and
-// re-parse to bit-identical fingerprints. The corpus seeds cover the
-// capped-prealloc path of the count header (counts above the 1024-entry
-// allocation cap, both honest and forged), so a regression there — e.g.
-// an append bug past the cap, or the cap being dropped — is caught even
-// in a 10-second short-fuzz run.
-func FuzzReadFingerprintSet(f *testing.F) {
-	s := MustScheme(64, 2)
-	var valid bytes.Buffer
-	if err := WriteFingerprintSet(&valid, s.FingerprintAll([]profile.Profile{profile.New(1), profile.New(2, 3)})); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-
-	// Honest large set: 1030 entries crosses the 1024-entry prealloc cap,
-	// so parsing must grow the slice past the capped hint and still return
-	// every entry.
-	bigProfiles := make([]profile.Profile, 1030)
-	for i := range bigProfiles {
-		bigProfiles[i] = profile.New(profile.ItemID(i), profile.ItemID(i+7))
-	}
-	var big bytes.Buffer
-	if err := WriteFingerprintSet(&big, s.FingerprintAll(bigProfiles)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(big.Bytes())
-
-	// Forged count: a header promising 2000 entries backed by only two.
-	// The cap keeps the prealloc small; the parse must fail cleanly at the
-	// truncation, never allocate for the promised count.
-	forged := append([]byte{0xd0, 0x07, 0x00, 0x00}, valid.Bytes()[4:]...)
-	f.Add(forged)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fps, err := ReadFingerprintSet(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for i := 1; i < len(fps); i++ {
-			if fps[i].NumBits() != fps[0].NumBits() {
-				t.Fatal("accepted mixed-length set")
-			}
-		}
-		// Round trip must be stable: serialize the accepted set and parse
-		// it back to bit-identical fingerprints.
-		var buf bytes.Buffer
-		if err := WriteFingerprintSet(&buf, fps); err != nil {
-			t.Fatalf("re-serialize failed: %v", err)
-		}
-		fps2, err := ReadFingerprintSet(&buf)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if len(fps2) != len(fps) {
-			t.Fatalf("round trip changed count: %d → %d", len(fps), len(fps2))
-		}
-		for i := range fps {
-			if !fps2[i].Bits().Equal(fps[i].Bits()) || fps2[i].Cardinality() != fps[i].Cardinality() {
-				t.Fatalf("round trip changed fingerprint %d", i)
-			}
-		}
-	})
-}

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"goldfinger/internal/core"
 	"goldfinger/internal/knn"
+	"goldfinger/internal/profile"
 )
 
 // FuzzWALReplay hammers ScanWAL — the function every recovery and every
@@ -120,7 +122,7 @@ func FuzzDecodeEpoch(f *testing.F) {
 		if v1 {
 			magic = epochMagicV1
 		}
-		ep, err := decodeEpoch(sealSnapshot(magic, payload))
+		ep, err := decodeEpoch(seal(append(magic[:], payload...)))
 		if err != nil {
 			return
 		}
@@ -146,8 +148,102 @@ func FuzzDecodeEpoch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted epoch does not re-encode: %v", err)
 		}
-		if !bytes.Equal(re, sealSnapshot(epochMagic, want)) {
+		if !bytes.Equal(re, seal(append(epochMagic[:], want...))) {
 			t.Fatalf("re-encoding an accepted epoch changed its bytes (%d in, %d out)", len(want)+8, len(re))
+		}
+	})
+}
+
+// FuzzDecodeState hammers DecodeState, which every restart trusts with
+// the user table and fingerprints and every migration import with the
+// users it takes over. As in FuzzDecodeEpoch the mutated payload is sealed
+// with a valid CRC so mutations reach the structure. The first seeds are
+// the fingerprint-set cases: an honest set past 1024 entries, a forged
+// user count and a forged fingerprint count. Invariants:
+//
+//   - never panics;
+//   - an accepted state has users, fingerprints and tombstones in lock
+//     step, and one fingerprint length;
+//   - an accepted state re-encodes byte for byte, up to the two rewrites
+//     EncodeState always makes (v1 comes back as v2 with an all-live
+//     bitmap, and the bitmap's pad bits come back as zero).
+func FuzzDecodeState(f *testing.F) {
+	scheme := core.MustScheme(64, 2)
+	payloadOf := func(st State) []byte {
+		data, err := EncodeState(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data[4 : len(data)-4]
+	}
+	small := State{Users: []string{"a", "bc"}, FPS: scheme.FingerprintAll([]profile.Profile{profile.New(1), profile.New(2, 3)}),
+		Deleted: []bool{false, true}, MutSeq: 5}
+	valid := payloadOf(small)
+	f.Add(false, valid)
+	// A forged user count: 2^32-1 ids promised, none present.
+	f.Add(false, append(le.AppendUint64(nil, 5), 0xff, 0xff, 0xff, 0xff))
+	// 1030 users: an honest table and set past 1024 entries.
+	big := State{Users: make([]string, 1030), FPS: make([]core.Fingerprint, 1030)}
+	for i := range big.Users {
+		big.Users[i] = fmt.Sprintf("u%d", i)
+		big.FPS[i] = scheme.Fingerprint(profile.New(profile.ItemID(i), profile.ItemID(i+7)))
+	}
+	f.Add(false, payloadOf(big))
+	// A forged fingerprint count: 2000 promised, two present.
+	setAt := 8 + usersBytes(small.Users)
+	forged := bytes.Clone(valid)
+	le.PutUint32(forged[setAt:], 2000)
+	f.Add(false, forged)
+
+	v1 := valid[:len(valid)-4-1] // the same state without its bitmap
+	f.Add(true, v1)
+	f.Add(false, []byte{})
+	for _, cut := range []int{1, 5, 12, len(valid) / 2} {
+		f.Add(false, valid[:len(valid)-cut])
+	}
+	// Mixed fingerprint lengths.
+	mixed, err := core.AppendFingerprint(bytes.Clone(valid[:setAt+4+20]), core.MustScheme(128, 2).Fingerprint(profile.New(4)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(false, appendBitmap(mixed, 2, nil))
+	for i := 0; i < len(valid); i += 5 {
+		mut := bytes.Clone(valid)
+		mut[i] ^= 0x81
+		f.Add(false, mut)
+	}
+
+	f.Fuzz(func(t *testing.T, v1 bool, payload []byte) {
+		magic := stateMagic
+		if v1 {
+			magic = stateMagicV1
+		}
+		st, err := DecodeState(seal(append(magic[:], payload...)))
+		if err != nil {
+			return
+		}
+		n := len(st.Users)
+		if len(st.FPS) != n || len(st.Deleted) != n {
+			t.Fatalf("state out of lock step: %d users, %d fingerprints, %d flags", n, len(st.FPS), len(st.Deleted))
+		}
+		for i, fp := range st.FPS {
+			if fp.NumBits() != st.FPS[0].NumBits() || fp.Cardinality() != fp.Bits().Count() {
+				t.Fatalf("fingerprint %d: %d bits (set uses %d), cardinality %d of %d set bits",
+					i, fp.NumBits(), st.FPS[0].NumBits(), fp.Cardinality(), fp.Bits().Count())
+			}
+		}
+		want := bytes.Clone(payload)
+		if v1 {
+			want = appendBitmap(want, n, nil)
+		} else if n%8 != 0 {
+			want[len(want)-1] &= 1<<(n%8) - 1
+		}
+		re, err := EncodeState(st)
+		if err != nil {
+			t.Fatalf("accepted state does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, seal(append(stateMagic[:], want...))) {
+			t.Fatalf("re-encoding an accepted state changed its bytes (%d in, %d out)", len(want)+8, len(re))
 		}
 	})
 }

@@ -2,12 +2,10 @@ package durable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"goldfinger/internal/core"
@@ -18,7 +16,15 @@ import (
 // CRC-32C trailer over everything before it. They are written to a temp
 // file, fsynced, atomically renamed into place, and the directory is
 // fsynced — a reader either sees the complete old file or the complete new
-// one, and the trailer catches torn or bit-rotted content.
+// one, and the trailer catches torn or bit-rotted content. In codec.go's
+// fields:
+//
+//	state: magic | uint64 mutSeq | users | fingerprints | bitmap | crc
+//	epoch: magic | uint64 seq | uint64 k | str algorithm | uint64 builtAt,
+//	       duration, comparisons, iterations, updates, mutSeq | users |
+//	       uint32 n | n × neighbour list | bitmap | crc
+//
+// The v1 formats are the same without the tombstone bitmap.
 
 var (
 	stateMagicV1 = [4]byte{'G', 'F', 'S', '1'} // user table + fingerprints
@@ -27,9 +33,8 @@ var (
 	epochMagic   = [4]byte{'G', 'F', 'E', '2'} // v1 + tombstone bitmap
 )
 
-// maxSnapshotNeighbors bounds one serialized neighborhood so a corrupt
-// count cannot drive a huge allocation.
-const maxSnapshotNeighbors = 1 << 20
+// maxAlgorithmBytes bounds an epoch's builder name.
+const maxAlgorithmBytes = 256
 
 // State is the durable image of the service's mutable state: the dense
 // user table, the fingerprint per user, the tombstone per user, and the
@@ -61,138 +66,73 @@ type EpochData struct {
 	Dead []bool
 }
 
-// sealSnapshot prepends magic and appends the CRC-32C trailer.
-func sealSnapshot(magic [4]byte, payload []byte) []byte {
-	out := make([]byte, 0, 4+len(payload)+4)
-	out = append(out, magic[:]...)
-	out = append(out, payload...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(out, crcTable))
-	return append(out, crc[:]...)
+// seal appends the CRC-32C trailer over b, which starts with the magic.
+func seal(b []byte) []byte {
+	return le.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
-// openSnapshot verifies magic and trailer and returns the payload.
-func openSnapshot(magic [4]byte, data []byte) ([]byte, error) {
-	payload, _, err := openSnapshotAny(data, magic)
-	return payload, err
-}
-
-// openSnapshotAny accepts any of the given magics (format versions) and
-// returns the payload plus the magic that matched.
-func openSnapshotAny(data []byte, magics ...[4]byte) ([]byte, [4]byte, error) {
+// openSnapshot checks a snapshot's magic, any of the given format
+// versions, and its CRC trailer. It returns a reader over the payload and
+// the magic that matched; a failure is left in the reader.
+func openSnapshot(data []byte, magics ...[4]byte) (*dec, [4]byte) {
+	d := &dec{}
 	if len(data) < 8 {
-		return nil, [4]byte{}, fmt.Errorf("durable: snapshot is %d bytes, too short", len(data))
+		d.fail("%d bytes, too short", len(data))
+		return d, [4]byte{}
 	}
-	var matched [4]byte
-	found := false
-	for _, m := range magics {
-		if bytes.Equal(data[:4], m[:]) {
-			matched, found = m, true
-			break
-		}
+	i := slices.IndexFunc(magics, func(m [4]byte) bool { return bytes.Equal(data[:4], m[:]) })
+	if i < 0 {
+		d.fail("bad magic %q (want %q)", data[:4], magics[len(magics)-1][:])
+		return d, [4]byte{}
 	}
-	if !found {
-		return nil, [4]byte{}, fmt.Errorf("durable: bad snapshot magic %q (want %q)", data[:4], magics[len(magics)-1][:])
+	body := data[:len(data)-4]
+	if want, got := le.Uint32(data[len(body):]), crc32.Checksum(body, crcTable); got != want {
+		d.fail("CRC mismatch (want %08x, got %08x)", want, got)
+		return d, [4]byte{}
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, [4]byte{}, fmt.Errorf("durable: snapshot CRC mismatch (want %08x, got %08x)", want, got)
-	}
-	return body[4:], matched, nil
+	d.b = body[4:]
+	return d, magics[i]
 }
 
-// writeBitmap appends a length-prefixed, bit-packed bool slice.
-func writeBitmap(buf *bytes.Buffer, bits []bool) {
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(bits)))
-	buf.Write(u32[:])
-	packed := make([]byte, (len(bits)+7)/8)
-	for i, set := range bits {
-		if set {
-			packed[i/8] |= 1 << (i % 8)
-		}
+// EncodeState serializes a state snapshot, sealed with magic and CRC. It is
+// also the migration stream: GET /migrate/export answers with one.
+func EncodeState(st State) ([]byte, error) {
+	n := len(st.Users)
+	if len(st.FPS) != n {
+		return nil, fmt.Errorf("durable: %d users but %d fingerprints", n, len(st.FPS))
 	}
-	buf.Write(packed)
-}
-
-// readBitmap reads a bitmap that must describe exactly want entries.
-func readBitmap(r *bytes.Reader, want int) ([]bool, error) {
-	var u32 [4]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Errorf("durable: reading bitmap length: %w", err)
+	if st.Deleted != nil && len(st.Deleted) != n {
+		return nil, fmt.Errorf("durable: %d users but %d tombstone flags", n, len(st.Deleted))
 	}
-	n := binary.LittleEndian.Uint32(u32[:])
-	if int64(n) != int64(want) {
-		return nil, fmt.Errorf("durable: bitmap describes %d entries, want %d", n, want)
+	size := 4 + 8 + usersBytes(st.Users) + 4 + 4 + (n+7)/8 + 4
+	if n > 0 {
+		size += n * fingerprintBytes(st.FPS[0])
 	}
-	packed := make([]byte, (want+7)/8)
-	if _, err := io.ReadFull(r, packed); err != nil {
-		return nil, fmt.Errorf("durable: reading bitmap: %w", err)
-	}
-	bits := make([]bool, want)
-	for i := range bits {
-		bits[i] = packed[i/8]&(1<<(i%8)) != 0
-	}
-	return bits, nil
-}
-
-// encodeState serializes a state snapshot.
-func encodeState(st State) ([]byte, error) {
-	if len(st.Users) != len(st.FPS) {
-		return nil, fmt.Errorf("durable: %d users but %d fingerprints", len(st.Users), len(st.FPS))
-	}
-	deleted := st.Deleted
-	if deleted == nil {
-		deleted = make([]bool, len(st.Users))
-	}
-	if len(deleted) != len(st.Users) {
-		return nil, fmt.Errorf("durable: %d users but %d tombstone flags", len(st.Users), len(deleted))
-	}
-	var buf bytes.Buffer
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], st.MutSeq)
-	buf.Write(u64[:])
-	if err := core.WriteUserTable(&buf, st.Users); err != nil {
-		return nil, err
-	}
-	if err := core.WriteFingerprintSet(&buf, st.FPS); err != nil {
-		return nil, err
-	}
-	writeBitmap(&buf, deleted)
-	return sealSnapshot(stateMagic, buf.Bytes()), nil
-}
-
-// decodeState parses a state snapshot, verifying checksum and structure.
-func decodeState(data []byte) (State, error) {
-	payload, magic, err := openSnapshotAny(data, stateMagicV1, stateMagic)
+	b := append(make([]byte, 0, size), stateMagic[:]...)
+	b, err := appendUsers(le.AppendUint64(b, st.MutSeq), st.Users)
 	if err != nil {
-		return State{}, err
+		return nil, err
 	}
-	r := bytes.NewReader(payload)
-	var u64 [8]byte
-	if _, err := io.ReadFull(r, u64[:]); err != nil {
-		return State{}, fmt.Errorf("durable: reading state mutSeq: %w", err)
+	if b, err = appendFingerprints(b, st.FPS); err != nil {
+		return nil, err
 	}
-	st := State{MutSeq: binary.LittleEndian.Uint64(u64[:])}
-	if st.Users, err = core.ReadUserTable(r); err != nil {
-		return State{}, err
-	}
-	if st.FPS, err = core.ReadFingerprintSet(r); err != nil {
-		return State{}, err
-	}
-	if len(st.Users) != len(st.FPS) {
-		return State{}, fmt.Errorf("durable: state has %d users but %d fingerprints", len(st.Users), len(st.FPS))
+	return seal(appendBitmap(b, n, st.Deleted)), nil
+}
+
+// DecodeState parses a state snapshot, verifying checksum and structure.
+func DecodeState(data []byte) (State, error) {
+	d, magic := openSnapshot(data, stateMagicV1, stateMagic)
+	st := State{MutSeq: d.u64(), Users: d.users(), FPS: d.fingerprints()}
+	if d.err == nil && len(st.FPS) != len(st.Users) {
+		d.fail("%d users but %d fingerprints", len(st.Users), len(st.FPS))
 	}
 	if magic == stateMagic {
-		if st.Deleted, err = readBitmap(r, len(st.Users)); err != nil {
-			return State{}, err
-		}
+		st.Deleted = d.bitmap(len(st.Users))
 	} else {
 		st.Deleted = make([]bool, len(st.Users)) // v1 snapshots predate deletes
 	}
-	if r.Len() != 0 {
-		return State{}, fmt.Errorf("durable: %d trailing bytes in state snapshot", r.Len())
+	if err := d.end("state snapshot"); err != nil {
+		return State{}, err
 	}
 	return st, nil
 }
@@ -202,169 +142,69 @@ func encodeEpoch(ep EpochData) ([]byte, error) {
 	if ep.Graph == nil {
 		return nil, fmt.Errorf("durable: epoch has no graph")
 	}
-	if ep.Graph.NumUsers() != len(ep.Users) {
-		return nil, fmt.Errorf("durable: epoch graph has %d nodes but %d users",
-			ep.Graph.NumUsers(), len(ep.Users))
+	n := len(ep.Users)
+	if ep.Graph.NumUsers() != n {
+		return nil, fmt.Errorf("durable: epoch graph has %d nodes but %d users", ep.Graph.NumUsers(), n)
 	}
-	dead := ep.Dead
-	if dead == nil {
-		dead = make([]bool, len(ep.Users))
+	if ep.Dead != nil && len(ep.Dead) != n {
+		return nil, fmt.Errorf("durable: epoch has %d users but %d tombstone flags", n, len(ep.Dead))
 	}
-	if len(dead) != len(ep.Users) {
-		return nil, fmt.Errorf("durable: epoch has %d users but %d tombstone flags", len(ep.Users), len(dead))
+	size := 4 + 2*8 + 4 + len(ep.Algorithm) + 6*8 + usersBytes(ep.Users) + 4 + 4 + (n+7)/8 + 4
+	for _, nbrs := range ep.Graph.Neighbors {
+		size += 4 + neighborBytes*len(nbrs)
 	}
-	var buf bytes.Buffer
-	w := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
+	b := append(make([]byte, 0, size), epochMagic[:]...)
+	b = appendStr(le.AppendUint64(le.AppendUint64(b, uint64(ep.Seq)), uint64(ep.K)), ep.Algorithm)
+	for _, v := range [...]uint64{uint64(ep.BuiltAt.UnixNano()), uint64(ep.Duration),
+		uint64(ep.Stats.Comparisons), uint64(ep.Stats.Iterations), uint64(ep.Stats.Updates), ep.MutSeq} {
+		b = le.AppendUint64(b, v)
 	}
-	w(uint64(ep.Seq))
-	w(uint64(ep.K))
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(ep.Algorithm)))
-	buf.Write(u32[:])
-	buf.WriteString(ep.Algorithm)
-	w(uint64(ep.BuiltAt.UnixNano()))
-	w(uint64(ep.Duration))
-	w(uint64(ep.Stats.Comparisons))
-	w(uint64(ep.Stats.Iterations))
-	w(uint64(ep.Stats.Updates))
-	w(ep.MutSeq)
-	if err := core.WriteUserTable(&buf, ep.Users); err != nil {
+	b, err := appendUsers(b, ep.Users)
+	if err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(ep.Graph.Neighbors)))
-	buf.Write(u32[:])
+	b = le.AppendUint32(b, uint32(n))
 	for _, nbrs := range ep.Graph.Neighbors {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(nbrs)))
-		buf.Write(u32[:])
-		for _, nb := range nbrs {
-			binary.LittleEndian.PutUint32(u32[:], uint32(nb.ID))
-			buf.Write(u32[:])
-			w(math.Float64bits(nb.Sim))
-		}
+		b = appendNeighbors(b, nbrs)
 	}
-	writeBitmap(&buf, dead)
-	return sealSnapshot(epochMagic, buf.Bytes()), nil
+	return seal(appendBitmap(b, n, ep.Dead)), nil
 }
 
 // decodeEpoch parses an epoch snapshot, verifying checksum, structure, and
 // that every neighbor index is a valid node — a recovered epoch must be
 // servable without bounds panics.
 func decodeEpoch(data []byte) (EpochData, error) {
-	payload, magic, err := openSnapshotAny(data, epochMagicV1, epochMagic)
-	if err != nil {
-		return EpochData{}, err
-	}
-	r := bytes.NewReader(payload)
-	var b8 [8]byte
-	rd := func() (uint64, error) {
-		if _, err := io.ReadFull(r, b8[:]); err != nil {
-			return 0, fmt.Errorf("durable: short epoch snapshot: %w", err)
-		}
-		return binary.LittleEndian.Uint64(b8[:]), nil
-	}
-	var ep EpochData
-	var v uint64
-	if v, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	ep.Seq = int64(v)
-	if v, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	if v > 1<<30 {
-		return EpochData{}, fmt.Errorf("durable: implausible epoch k %d", v)
-	}
-	ep.K = int(v)
-	var u32 [4]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return EpochData{}, fmt.Errorf("durable: reading algorithm length: %w", err)
-	}
-	algoLen := binary.LittleEndian.Uint32(u32[:])
-	if algoLen > 256 {
-		return EpochData{}, fmt.Errorf("durable: implausible algorithm length %d", algoLen)
-	}
-	algo := make([]byte, algoLen)
-	if _, err := io.ReadFull(r, algo); err != nil {
-		return EpochData{}, fmt.Errorf("durable: reading algorithm: %w", err)
-	}
-	ep.Algorithm = string(algo)
-	if v, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	ep.BuiltAt = time.Unix(0, int64(v))
-	if v, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	ep.Duration = time.Duration(v)
-	if v, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	ep.Stats.Comparisons = int64(v)
-	if v, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	ep.Stats.Iterations = int(v)
-	if v, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	ep.Stats.Updates = int64(v)
-	if ep.MutSeq, err = rd(); err != nil {
-		return EpochData{}, err
-	}
-	if ep.Users, err = core.ReadUserTable(r); err != nil {
-		return EpochData{}, err
-	}
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return EpochData{}, fmt.Errorf("durable: reading node count: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(u32[:])
-	if int(n) != len(ep.Users) {
-		return EpochData{}, fmt.Errorf("durable: epoch graph has %d nodes but %d users", n, len(ep.Users))
-	}
-	// The adjacency is nearly all of the payload, so it is decoded straight
-	// from the slice rather than a field at a time through the reader. A
-	// neighborhood's size is checked against the bytes left before any of
-	// it is read, so only its count can run short.
-	b := payload[len(payload)-r.Len():]
-	g := &knn.Graph{K: ep.K, Neighbors: make([][]knn.Neighbor, n)}
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			err := io.ErrUnexpectedEOF // what io.ReadFull reports
-			if len(b) == 0 {
-				err = io.EOF
-			}
-			return EpochData{}, fmt.Errorf("durable: reading neighborhood %d: %w", i, err)
-		}
-		m := binary.LittleEndian.Uint32(b)
-		if b = b[4:]; m > maxSnapshotNeighbors || int64(m)*12 > int64(len(b)) {
-			return EpochData{}, fmt.Errorf("durable: implausible neighborhood size %d at node %d", m, i)
-		}
-		nbrs := make([]knn.Neighbor, m)
-		for j := range nbrs {
-			id := binary.LittleEndian.Uint32(b)
-			if id >= n {
-				return EpochData{}, fmt.Errorf("durable: node %d neighbor index %d out of range [0,%d)", i, id, n)
-			}
-			nbrs[j] = knn.Neighbor{ID: int32(id), Sim: math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))}
-			b = b[12:]
-		}
-		g.Neighbors[i] = nbrs
-	}
-	r.Reset(b)
-	if magic == epochMagic {
-		if ep.Dead, err = readBitmap(r, len(ep.Users)); err != nil {
-			return EpochData{}, err
-		}
+	d, magic := openSnapshot(data, epochMagicV1, epochMagic)
+	ep := EpochData{Seq: int64(d.u64())}
+	if k := d.u64(); d.err == nil && k > 1<<30 {
+		d.fail("implausible k %d", k)
 	} else {
-		ep.Dead = make([]bool, len(ep.Users)) // v1 epochs predate tombstones
+		ep.K = int(k)
 	}
-	if r.Len() != 0 {
-		return EpochData{}, fmt.Errorf("durable: %d trailing bytes in epoch snapshot", r.Len())
+	ep.Algorithm = d.str(maxAlgorithmBytes)
+	ep.BuiltAt = time.Unix(0, int64(d.u64()))
+	ep.Duration = time.Duration(d.u64())
+	ep.Stats = knn.Stats{Comparisons: int64(d.u64()), Iterations: int(d.u64()), Updates: int64(d.u64())}
+	ep.MutSeq = d.u64()
+	ep.Users = d.users()
+	n := len(ep.Users)
+	if m := d.u32(); d.err == nil && int64(m) != int64(n) {
+		d.fail("graph has %d nodes but %d users", m, n)
 	}
-	ep.Graph = g
+	ep.Graph = &knn.Graph{K: ep.K, Neighbors: make([][]knn.Neighbor, n)}
+	for i := range ep.Graph.Neighbors {
+		if ep.Graph.Neighbors[i] = d.neighbors(uint32(n)); d.err != nil {
+			break
+		}
+	}
+	if magic == epochMagic {
+		ep.Dead = d.bitmap(n)
+	} else {
+		ep.Dead = make([]bool, n) // v1 epochs predate tombstones
+	}
+	if err := d.end("epoch snapshot"); err != nil {
+		return EpochData{}, err
+	}
 	return ep, nil
 }
 

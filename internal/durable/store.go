@@ -210,7 +210,7 @@ func Open(opts Options) (*Store, Recovery, error) {
 			logf("durable: reading snapshot %s: %v", stateName(g), rerr)
 			continue
 		}
-		st, derr := decodeState(data)
+		st, derr := DecodeState(data)
 		if derr != nil {
 			quarantineFile(path, derr)
 			continue
@@ -438,10 +438,15 @@ func applyDeltaToEpoch(ep *EpochData, d *GraphDelta, users []string) error {
 
 // Append durably logs one mutation. It returns only after the record is
 // written (and, under FsyncAlways, fsynced) — the caller acks the client
-// after Append returns nil. Any failure flips the store to degraded mode:
-// the segment tail must be assumed torn, so no further appends are
+// after Append returns nil. A record that does not encode is refused with
+// the segment untouched; any write failure flips the store to degraded
+// mode: the segment tail must be assumed torn, so no further appends are
 // accepted.
 func (s *Store) Append(rec Record) error {
+	buf, err := AppendRecord(nil, rec)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.degraded.Load() {
@@ -450,7 +455,7 @@ func (s *Store) Append(rec Record) error {
 	if s.active == nil {
 		return errors.New("durable: store is closed")
 	}
-	synced, err := s.active.append(rec)
+	synced, err := s.active.append(buf)
 	if err != nil {
 		s.setDegraded(err)
 		return err
@@ -540,7 +545,7 @@ func (s *Store) Compact(capture func() (State, *EpochData)) error {
 		time.Sleep(200 * time.Microsecond)
 	}
 
-	data, err := encodeState(st)
+	data, err := EncodeState(st)
 	if err != nil {
 		// Encoding failure is a caller bug, not a storage fault: the sealed
 		// segments still hold every record, so the store stays healthy.

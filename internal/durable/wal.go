@@ -1,13 +1,11 @@
 package durable
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
+	"slices"
 
 	"goldfinger/internal/core"
 	"goldfinger/internal/knn"
@@ -28,7 +26,8 @@ import (
 //	recMigration  | uint64 mutSeq | uint8 phase | uint64 ringEpoch |
 //	                uint32 users | uint32 peerLen | peer
 //
-// All integers little-endian; similarities are IEEE-754 bit patterns so
+// Every field is coded by codec.go: an id or peer is one of its
+// length-prefixed strings, a nbrCount list one of its neighbour lists, and
 // decode→encode is byte-exact. CRC-32C (Castagnoli) is hardware-accelerated
 // on amd64/arm64. mutSeq is the server's mutation counter value the record
 // establishes; replay applies records in order and skips any whose mutSeq
@@ -65,12 +64,15 @@ const (
 	walHeaderBytes = 8
 	// maxWALPayload bounds one record so a corrupt length prefix cannot
 	// drive a multi-gigabyte allocation during replay. 64 MiB is orders of
-	// magnitude above any real record (id ≤ 4 KiB + one fingerprint).
+	// magnitude above any real record (id ≤ core.MaxUserIDBytes + one
+	// fingerprint).
 	maxWALPayload = 1 << 26
 	// maxDeltaTouched bounds the node count of one graph delta: a real
 	// mutation touches at most the degree cap plus its repairs, far under
 	// this.
 	maxDeltaTouched = 1 << 16
+	// maxNodes bounds a graph-delta node id: it must fit an int32.
+	maxNodes = math.MaxInt32 + 1
 )
 
 // DeltaOp is the mutation class a graph delta records.
@@ -133,234 +135,134 @@ type Record struct {
 	Mig    *MigrationMark
 }
 
-// AppendRecord serializes rec onto buf and returns the extended slice.
+// AppendRecord serializes rec onto buf and returns the extended slice. A
+// put or delete whose id is over core.MaxUserIDBytes is refused: no
+// snapshot could carry the user it establishes.
 func AppendRecord(buf []byte, rec Record) ([]byte, error) {
 	kind := rec.Kind
 	if kind == 0 {
 		kind = KindPut
 	}
-	var payload bytes.Buffer
-	payload.WriteByte(byte(kind))
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], rec.MutSeq)
-	payload.Write(u64[:])
-	var u32 [4]byte
+	start := len(buf)
+	b := slices.Grow(buf, walHeaderBytes+payloadBytes(rec))
+	b = append(b, make([]byte, walHeaderBytes)...) // length and CRC, filled in below
+	b = le.AppendUint64(append(b, byte(kind)), rec.MutSeq)
 	switch kind {
-	case KindPut:
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(rec.ID)))
-		payload.Write(u32[:])
-		payload.WriteString(rec.ID)
-		if err := core.WriteFingerprint(&payload, rec.FP); err != nil {
-			return nil, fmt.Errorf("durable: encoding WAL fingerprint: %w", err)
+	case KindPut, KindDelete:
+		if len(rec.ID) > core.MaxUserIDBytes {
+			return buf, fmt.Errorf("durable: user id is %d bytes, max %d", len(rec.ID), core.MaxUserIDBytes)
 		}
-	case KindDelete:
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(rec.ID)))
-		payload.Write(u32[:])
-		payload.WriteString(rec.ID)
+		b = appendStr(b, rec.ID)
+		if kind == KindPut {
+			var err error
+			if b, err = core.AppendFingerprint(b, rec.FP); err != nil {
+				return buf, fmt.Errorf("durable: encoding WAL fingerprint: %w", err)
+			}
+		}
 	case KindGraphDelta:
 		d := rec.Delta
 		if d == nil {
-			return nil, fmt.Errorf("durable: graph-delta record has no delta")
+			return buf, fmt.Errorf("durable: graph-delta record has no delta")
 		}
 		if d.Op < DeltaInsert || d.Op > DeltaDelete {
-			return nil, fmt.Errorf("durable: unknown graph-delta op %d", d.Op)
+			return buf, fmt.Errorf("durable: unknown graph-delta op %d", d.Op)
 		}
 		if d.Node < 0 {
-			return nil, fmt.Errorf("durable: graph delta for negative node %d", d.Node)
+			return buf, fmt.Errorf("durable: graph delta for negative node %d", d.Node)
 		}
 		if len(d.Adj) > maxDeltaTouched {
-			return nil, fmt.Errorf("durable: graph delta touches %d nodes, max %d", len(d.Adj), maxDeltaTouched)
+			return buf, fmt.Errorf("durable: graph delta touches %d nodes, max %d", len(d.Adj), maxDeltaTouched)
 		}
-		payload.WriteByte(byte(d.Op))
-		binary.LittleEndian.PutUint32(u32[:], uint32(d.Node))
-		payload.Write(u32[:])
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(d.Adj)))
-		payload.Write(u32[:])
+		b = le.AppendUint32(le.AppendUint32(append(b, byte(d.Op)), uint32(d.Node)), uint32(len(d.Adj)))
 		for _, tn := range d.Adj {
 			if tn.ID < 0 {
-				return nil, fmt.Errorf("durable: graph delta touches negative node %d", tn.ID)
+				return buf, fmt.Errorf("durable: graph delta touches negative node %d", tn.ID)
 			}
-			binary.LittleEndian.PutUint32(u32[:], uint32(tn.ID))
-			payload.Write(u32[:])
-			binary.LittleEndian.PutUint32(u32[:], uint32(len(tn.Neighbors)))
-			payload.Write(u32[:])
-			for _, nb := range tn.Neighbors {
-				binary.LittleEndian.PutUint32(u32[:], uint32(nb.ID))
-				payload.Write(u32[:])
-				binary.LittleEndian.PutUint64(u64[:], math.Float64bits(nb.Sim))
-				payload.Write(u64[:])
-			}
+			b = appendNeighbors(le.AppendUint32(b, uint32(tn.ID)), tn.Neighbors)
 		}
 	case KindMigration:
 		m := rec.Mig
 		if m == nil {
-			return nil, fmt.Errorf("durable: migration record has no mark")
+			return buf, fmt.Errorf("durable: migration record has no mark")
 		}
 		if m.Phase < MigImportBegin || m.Phase > MigRetireDone {
-			return nil, fmt.Errorf("durable: unknown migration phase %d", m.Phase)
+			return buf, fmt.Errorf("durable: unknown migration phase %d", m.Phase)
 		}
-		payload.WriteByte(byte(m.Phase))
-		binary.LittleEndian.PutUint64(u64[:], m.Epoch)
-		payload.Write(u64[:])
-		binary.LittleEndian.PutUint32(u32[:], m.Users)
-		payload.Write(u32[:])
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(m.Peer)))
-		payload.Write(u32[:])
-		payload.WriteString(m.Peer)
+		b = le.AppendUint32(le.AppendUint64(append(b, byte(m.Phase)), m.Epoch), m.Users)
+		b = appendStr(b, m.Peer)
 	default:
-		return nil, fmt.Errorf("durable: unknown WAL record kind %d", kind)
+		return buf, fmt.Errorf("durable: unknown WAL record kind %d", kind)
 	}
-	if payload.Len() > maxWALPayload {
-		return nil, fmt.Errorf("durable: WAL record payload is %d bytes, max %d", payload.Len(), maxWALPayload)
+	payload := b[start+walHeaderBytes:]
+	if len(payload) > maxWALPayload {
+		return buf, fmt.Errorf("durable: WAL record payload is %d bytes, max %d", len(payload), maxWALPayload)
 	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(payload.Len()))
-	buf = append(buf, u32[:]...)
-	binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(payload.Bytes(), crcTable))
-	buf = append(buf, u32[:]...)
-	return append(buf, payload.Bytes()...), nil
+	le.PutUint32(b[start:], uint32(len(payload)))
+	le.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
+	return b, nil
+}
+
+// payloadBytes bounds rec's payload size from above, for presizing.
+func payloadBytes(rec Record) int {
+	n := 1 + 8 + 4 + len(rec.ID) + fingerprintBytes(rec.FP)
+	if d := rec.Delta; d != nil {
+		n += 1 + 4 + 4
+		for _, tn := range d.Adj {
+			n += 4 + 4 + neighborBytes*len(tn.Neighbors)
+		}
+	}
+	if m := rec.Mig; m != nil {
+		n += 1 + 8 + 4 + 4 + len(m.Peer)
+	}
+	return n
 }
 
 // decodeRecordPayload parses one CRC-verified payload. The payload must be
 // consumed exactly: trailing bytes mean a corrupt record even if the prefix
-// parses.
+// parses. Ids are bounded only by the payload, so a WAL written before
+// AppendRecord enforced core.MaxUserIDBytes still replays byte for byte.
 func decodeRecordPayload(payload []byte) (Record, error) {
-	r := bytes.NewReader(payload)
-	kind, err := r.ReadByte()
-	if err != nil {
-		return Record{}, fmt.Errorf("durable: empty WAL payload")
-	}
-	var u64 [8]byte
-	if _, err := io.ReadFull(r, u64[:]); err != nil {
-		return Record{}, fmt.Errorf("durable: short WAL record header: %w", err)
-	}
-	rec := Record{Kind: RecordKind(kind), MutSeq: binary.LittleEndian.Uint64(u64[:])}
-	readID := func() (string, error) {
-		var u32 [4]byte
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
-			return "", fmt.Errorf("durable: short WAL record header: %w", err)
-		}
-		idLen := binary.LittleEndian.Uint32(u32[:])
-		if int64(idLen) > int64(r.Len()) {
-			return "", fmt.Errorf("durable: WAL id length %d exceeds payload", idLen)
-		}
-		id := make([]byte, idLen)
-		if _, err := io.ReadFull(r, id); err != nil {
-			return "", fmt.Errorf("durable: reading WAL id: %w", err)
-		}
-		return string(id), nil
-	}
-	switch RecordKind(kind) {
+	d := dec{b: payload}
+	rec := Record{Kind: RecordKind(d.u8()), MutSeq: d.u64()}
+	switch rec.Kind {
 	case KindPut:
-		if rec.ID, err = readID(); err != nil {
-			return Record{}, err
-		}
-		if rec.FP, err = core.ReadFingerprint(r); err != nil {
-			return Record{}, fmt.Errorf("durable: reading WAL fingerprint: %w", err)
-		}
+		rec.ID, rec.FP = d.str(maxWALPayload), d.fingerprint()
 	case KindDelete:
-		if rec.ID, err = readID(); err != nil {
-			return Record{}, err
-		}
+		rec.ID = d.str(maxWALPayload)
 	case KindGraphDelta:
-		if rec.Delta, err = decodeGraphDelta(r); err != nil {
-			return Record{}, err
-		}
+		rec.Delta = decodeGraphDelta(&d)
 	case KindMigration:
-		var u32 [4]byte
-		phase, perr := r.ReadByte()
-		if perr != nil {
-			return Record{}, fmt.Errorf("durable: short migration mark: %w", perr)
+		m := &MigrationMark{Phase: MigPhase(d.u8())}
+		if d.err == nil && (m.Phase < MigImportBegin || m.Phase > MigRetireDone) {
+			d.fail("unknown migration phase %d", m.Phase)
 		}
-		if MigPhase(phase) < MigImportBegin || MigPhase(phase) > MigRetireDone {
-			return Record{}, fmt.Errorf("durable: unknown migration phase %d", phase)
-		}
-		if _, err := io.ReadFull(r, u64[:]); err != nil {
-			return Record{}, fmt.Errorf("durable: short migration mark: %w", err)
-		}
-		m := &MigrationMark{Phase: MigPhase(phase), Epoch: binary.LittleEndian.Uint64(u64[:])}
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
-			return Record{}, fmt.Errorf("durable: short migration mark: %w", err)
-		}
-		m.Users = binary.LittleEndian.Uint32(u32[:])
-		if m.Peer, err = readID(); err != nil {
-			return Record{}, err
-		}
+		m.Epoch, m.Users, m.Peer = d.u64(), d.u32(), d.str(maxWALPayload)
 		rec.Mig = m
 	default:
-		return Record{}, fmt.Errorf("durable: unknown WAL record type %d", kind)
+		d.fail("unknown record kind %d", rec.Kind)
 	}
-	if r.Len() != 0 {
-		return Record{}, fmt.Errorf("durable: %d trailing bytes in WAL payload", r.Len())
+	if err := d.end("WAL record"); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }
 
-// decodeGraphDelta parses the graph-delta payload body. Counts are bounded
-// against the remaining payload before any allocation, so a forged count
-// cannot drive a large allocation; similarities must be valid Jaccard
-// values ([0,1]) so a bit flip in a sim cannot survive into a served
-// graph.
-func decodeGraphDelta(r *bytes.Reader) (*GraphDelta, error) {
-	var u32 [4]byte
-	var u64 [8]byte
-	op, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("durable: short graph delta: %w", err)
+// decodeGraphDelta parses the graph-delta payload body. Node ids must fit
+// an int32; each touched node's list goes through the same neighbour codec
+// as the epoch's adjacency.
+func decodeGraphDelta(d *dec) *GraphDelta {
+	op := DeltaOp(d.u8())
+	if d.err == nil && (op < DeltaInsert || op > DeltaDelete) {
+		d.fail("unknown graph-delta op %d", op)
 	}
-	if DeltaOp(op) < DeltaInsert || DeltaOp(op) > DeltaDelete {
-		return nil, fmt.Errorf("durable: unknown graph-delta op %d", op)
-	}
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Errorf("durable: short graph delta: %w", err)
-	}
-	node := binary.LittleEndian.Uint32(u32[:])
-	if node > math.MaxInt32 {
-		return nil, fmt.Errorf("durable: graph-delta node %d overflows int32", node)
-	}
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Errorf("durable: short graph delta: %w", err)
-	}
-	adjCount := binary.LittleEndian.Uint32(u32[:])
-	if adjCount > maxDeltaTouched || int64(adjCount)*8 > int64(r.Len()) {
-		return nil, fmt.Errorf("durable: implausible graph-delta node count %d", adjCount)
-	}
-	d := &GraphDelta{Op: DeltaOp(op), Node: int32(node), Adj: make([]knn.TouchedNode, 0, adjCount)}
-	for i := uint32(0); i < adjCount; i++ {
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
-			return nil, fmt.Errorf("durable: short graph delta: %w", err)
+	g := &GraphDelta{Op: op, Node: d.index(maxNodes)}
+	g.Adj = make([]knn.TouchedNode, d.count(maxDeltaTouched, 8))
+	for i := range g.Adj {
+		if g.Adj[i] = (knn.TouchedNode{ID: d.index(maxNodes), Neighbors: d.neighbors(maxNodes)}); d.err != nil {
+			return nil
 		}
-		id := binary.LittleEndian.Uint32(u32[:])
-		if id > math.MaxInt32 {
-			return nil, fmt.Errorf("durable: graph-delta touched node %d overflows int32", id)
-		}
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
-			return nil, fmt.Errorf("durable: short graph delta: %w", err)
-		}
-		nbrCount := binary.LittleEndian.Uint32(u32[:])
-		if nbrCount > maxSnapshotNeighbors || int64(nbrCount)*12 > int64(r.Len()) {
-			return nil, fmt.Errorf("durable: implausible graph-delta neighborhood size %d at node %d", nbrCount, id)
-		}
-		nbrs := make([]knn.Neighbor, nbrCount)
-		for j := range nbrs {
-			if _, err := io.ReadFull(r, u32[:]); err != nil {
-				return nil, fmt.Errorf("durable: short graph delta: %w", err)
-			}
-			nid := binary.LittleEndian.Uint32(u32[:])
-			if nid > math.MaxInt32 {
-				return nil, fmt.Errorf("durable: graph-delta neighbor %d overflows int32", nid)
-			}
-			if _, err := io.ReadFull(r, u64[:]); err != nil {
-				return nil, fmt.Errorf("durable: short graph delta: %w", err)
-			}
-			sim := math.Float64frombits(binary.LittleEndian.Uint64(u64[:]))
-			if !(sim >= 0 && sim <= 1) {
-				return nil, fmt.Errorf("durable: graph-delta similarity %v out of [0,1]", sim)
-			}
-			nbrs[j] = knn.Neighbor{ID: int32(nid), Sim: sim}
-		}
-		d.Adj = append(d.Adj, knn.TouchedNode{ID: int32(id), Neighbors: nbrs})
 	}
-	return d, nil
+	return g
 }
 
 // ScanWAL parses a WAL byte stream into the longest prefix of valid
@@ -379,7 +281,7 @@ func ScanWAL(data []byte) (recs []Record, goodLen int, err error) {
 		if len(rest) < walHeaderBytes {
 			return recs, off, fmt.Errorf("durable: torn record header (%d bytes)", len(rest))
 		}
-		payloadLen := binary.LittleEndian.Uint32(rest[0:4])
+		payloadLen := le.Uint32(rest[0:4])
 		if payloadLen > maxWALPayload {
 			return recs, off, fmt.Errorf("durable: implausible record length %d", payloadLen)
 		}
@@ -387,7 +289,7 @@ func ScanWAL(data []byte) (recs []Record, goodLen int, err error) {
 			return recs, off, fmt.Errorf("durable: torn record payload (%d of %d bytes)",
 				len(rest)-walHeaderBytes, payloadLen)
 		}
-		wantCRC := binary.LittleEndian.Uint32(rest[4:8])
+		wantCRC := le.Uint32(rest[4:8])
 		payload := rest[walHeaderBytes : walHeaderBytes+int(payloadLen)]
 		if got := crc32.Checksum(payload, crcTable); got != wantCRC {
 			return recs, off, fmt.Errorf("durable: record CRC mismatch (want %08x, got %08x)", wantCRC, got)
@@ -429,14 +331,10 @@ func openWAL(fsys FS, path string, fsync FsyncPolicy) (*wal, error) {
 	return &wal{fsys: fsys, path: path, file: f, fsync: fsync, bytes: size}, nil
 }
 
-// append writes one record and, under FsyncAlways, fsyncs it. On any error
-// the segment must be considered torn: the caller flips to degraded mode.
-// Reports whether an fsync was issued.
-func (w *wal) append(rec Record) (synced bool, err error) {
-	buf, err := AppendRecord(nil, rec)
-	if err != nil {
-		return false, err
-	}
+// append writes one encoded record and, under FsyncAlways, fsyncs it. On
+// any error the segment must be considered torn: the caller flips to
+// degraded mode. Reports whether an fsync was issued.
+func (w *wal) append(buf []byte) (synced bool, err error) {
 	if _, err := w.file.Write(buf); err != nil {
 		return false, fmt.Errorf("durable: appending WAL record: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"goldfinger/internal/durable"
 	"goldfinger/internal/knn"
 	"goldfinger/internal/profile"
+	"goldfinger/internal/router"
 )
 
 // newDurableServer opens a durable store over fsys in dir and serves a
@@ -494,5 +496,67 @@ func TestWALGrowthTriggersCompaction(t *testing.T) {
 	}
 	if rec2.State.MutSeq != 30 {
 		t.Fatalf("recovered mutSeq %d, want 30", rec2.State.MutSeq)
+	}
+}
+
+// TestUserIDBound: a user id has one bound, core.MaxUserIDBytes, checked
+// before the WAL append. An id one byte over it is refused with 400 —
+// also through a router, which passes the shard's 4xx through — and
+// leaves no WAL record; an id at the bound survives a build (which saves
+// the epoch and compacts) and a kill-restart, epoch included.
+func TestUserIDBound(t *testing.T) {
+	dir := t.TempDir()
+	ts, store, _, scheme := newDurableServer(t, dir, durable.OSFS{})
+	rt, err := router.New(router.Config{Shards: []router.ShardSpec{{Name: "shard-0", URL: ts.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+
+	over := strings.Repeat("x", core.MaxUserIDBytes+1)
+	for _, base := range []*httptest.Server{ts, rts} {
+		resp := putFingerprint(t, base, scheme, over, profileFor(0))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("PUT of a %d-byte id via %s: status %d, want 400", len(over), base.URL, resp.StatusCode)
+		}
+	}
+	if n := store.Info().WALRecords; n != 0 {
+		t.Fatalf("refused PUTs left %d WAL records", n)
+	}
+
+	maxID := over[1:]
+	ids := []string{maxID, userID(1), userID(2)}
+	for i, id := range ids {
+		resp := putFingerprint(t, ts, scheme, id, profileFor(i))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("PUT %d: status %d", i, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/graph/build?k=2", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("build: status %d", resp.StatusCode)
+	}
+	if st := getStats(t, ts); st.LastDurableError != "" || st.SnapshotGen == 0 {
+		t.Fatalf("after build: snapshot gen %d, durable error %q", st.SnapshotGen, st.LastDurableError)
+	}
+	ts.Close() // the store handle is abandoned, not closed: a "kill"
+
+	ts2, _, rec, _ := newDurableServer(t, dir, durable.OSFS{})
+	if len(rec.State.Users) != len(ids) || rec.State.Users[0] != maxID {
+		t.Fatalf("recovered %d users, want %d with the long id first", len(rec.State.Users), len(ids))
+	}
+	if rec.Epoch == nil || len(rec.Epoch.Users) != len(ids) || rec.Epoch.Users[0] != maxID {
+		t.Fatal("the epoch holding the long id was not recovered")
+	}
+	if status, nbrs := getNeighborList(t, ts2, maxID); status != http.StatusOK || len(nbrs) != 2 {
+		t.Fatalf("neighbors of the long id after restart: status %d, %d entries", status, len(nbrs))
 	}
 }

@@ -5,7 +5,8 @@ package service
 //
 //   POST /ring            install a placement ring (epoch, names, mode)
 //   GET  /ring            read the installed ring
-//   GET  /migrate/export  stream the users a gaining shard must take
+//   GET  /migrate/export  the users a gaining shard must take, as a sealed
+//                         state snapshot
 //   POST /migrate/import  pull an export stream and apply it via the WAL
 //   POST /migrate/retire  tombstone the users handed off after cutover
 //
@@ -43,7 +44,6 @@ import (
 	"strconv"
 	"time"
 
-	"goldfinger/internal/core"
 	"goldfinger/internal/durable"
 	"goldfinger/internal/obs"
 	"goldfinger/internal/router"
@@ -203,11 +203,12 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMigrateExport streams every live user the given shard gains under
-// the installed ring: a core user table followed by the matching
-// fingerprint set. The stream is a consistent snapshot — the router
-// fences mutations to moving ids for the whole transfer window, so what
-// is streamed here cannot change until cutover.
+// handleMigrateExport answers with every live user the given shard gains
+// under the installed ring, as one sealed state snapshot (magic, user
+// table, fingerprints, CRC-32C): the import verifies it whole before
+// applying a single user. The snapshot is consistent — the router fences
+// mutations to moving ids for the whole transfer window, so what is
+// exported here cannot change until cutover.
 func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		methodNotAllowed(w, "GET", "GET streams the users the requesting shard gains")
@@ -228,26 +229,28 @@ func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var ids []string
-	var fps []core.Fingerprint
+	var st durable.State
 	v := s.view.Load()
 	for i := 0; i < v.users.Len(); i++ {
 		if v.deleted.At(i) {
 			continue
 		}
 		if id := v.users.At(i); rv.ownerOf(id) == to {
-			ids = append(ids, id)
-			fps = append(fps, v.corpus.Fingerprint(i))
+			st.Users = append(st.Users, id)
+			st.FPS = append(st.FPS, v.corpus.Fingerprint(i))
 		}
+	}
+	data, err := durable.EncodeState(st)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding export: %v", err)
+		return
 	}
 
 	s.obs.Counter(metricMigExports).Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Migration-Users", strconv.Itoa(len(ids)))
-	if err := core.WriteUserTable(w, ids); err != nil {
-		return // client gone; nothing to clean up
-	}
-	core.WriteFingerprintSet(w, fps)
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Header().Set("X-Migration-Users", strconv.Itoa(len(st.Users)))
+	w.Write(data) // a failed write means the puller is gone; its driver retries
 }
 
 // migrateImportRequest is the POST /migrate/import body.
@@ -301,17 +304,20 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ids, fps, err := pullExport(r.Context(), req.FromURL, req.Epoch, rv.self)
+	exp, err := pullExport(r.Context(), req.FromURL, req.Epoch, rv.self)
 	if err != nil {
 		httpError(w, http.StatusBadGateway, "pulling export from %s: %v", req.From, err)
 		return
 	}
 	applied := 0
 	pace := newPacer(int(s.migrateRate.Load()))
-	for i, id := range ids {
-		if fps[i].NumBits() != s.bits {
+	for i, id := range exp.Users {
+		if exp.Deleted[i] {
+			continue
+		}
+		if exp.FPS[i].NumBits() != s.bits {
 			httpError(w, http.StatusBadGateway,
-				"export stream fingerprint for %q has %d bits, want %d", id, fps[i].NumBits(), s.bits)
+				"export fingerprint for %q has %d bits, want %d", id, exp.FPS[i].NumBits(), s.bits)
 			return
 		}
 		if err := r.Context().Err(); err != nil {
@@ -320,7 +326,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 			httpError(w, statusClientClosedRequest, "import canceled: %v", err)
 			return
 		}
-		if _, err := s.applyPut(id, fps[i]); err != nil {
+		if _, err := s.applyPut(id, exp.FPS[i]); err != nil {
 			setRetryAfter(w, degradedRetryAfter)
 			httpError(w, http.StatusServiceUnavailable, "applying migrated user %q: %v", id, err)
 			return
@@ -411,37 +417,35 @@ func (s *Server) journalMigration(phase durable.MigPhase, epoch uint64, peer str
 	})
 }
 
-// pullExport fetches and decodes one export stream.
-func pullExport(ctx context.Context, baseURL string, epoch uint64, self string) ([]string, []core.Fingerprint, error) {
+// maxExportBytes bounds one export body: far above any shard's slice
+// (1M users of 1024-bit fingerprints is ≈ 150 MB), so a corrupt or hostile
+// peer cannot make the import buffer without limit.
+const maxExportBytes = 1 << 30
+
+// pullExport fetches one export and verifies and decodes it whole.
+func pullExport(ctx context.Context, baseURL string, epoch uint64, self string) (durable.State, error) {
 	url := fmt.Sprintf("%s/migrate/export?epoch=%d&to=%s", baseURL, epoch, self)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, nil, err
+		return durable.State{}, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return durable.State{}, err
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, nil, fmt.Errorf("export answered %d: %s", resp.StatusCode, string(body))
+		return durable.State{}, fmt.Errorf("export answered %d: %s", resp.StatusCode, string(body))
 	}
-	ids, err := core.ReadUserTable(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxExportBytes+1))
 	if err != nil {
-		return nil, nil, fmt.Errorf("decoding export user table: %w", err)
+		return durable.State{}, fmt.Errorf("reading export: %w", err)
 	}
-	fps, err := core.ReadFingerprintSet(resp.Body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("decoding export fingerprints: %w", err)
+	if len(data) > maxExportBytes {
+		return durable.State{}, fmt.Errorf("export exceeds %d bytes", maxExportBytes)
 	}
-	if len(ids) != len(fps) {
-		return nil, nil, fmt.Errorf("export stream has %d ids but %d fingerprints", len(ids), len(fps))
-	}
-	return ids, fps, nil
+	return durable.DecodeState(data)
 }
 
 // pacer rate-limits import applies to a users/second cap.

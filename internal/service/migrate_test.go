@@ -332,3 +332,33 @@ func TestMigrationCrashResumeSurfaced(t *testing.T) {
 		t.Fatalf("recovered %d users, want %d", got, seeded)
 	}
 }
+
+// TestMigrationImportRefusesCorruptExport: the export is a sealed state
+// snapshot, so a bit flipped in transit — here in a moving user's id —
+// fails the pull with 502 and nothing is applied; the driver retries.
+func TestMigrationImportRefusesCorruptExport(t *testing.T) {
+	tsB, _, scheme := newNamedShard(t, t.TempDir(), "shard-1")
+	installRing(t, tsB, RingInfo{Epoch: 2, Mode: RingTransition, Names: []string{"shard-0", "shard-1"}, PrevNames: []string{"shard-0"}})
+
+	export, err := durable.EncodeState(durable.State{
+		Users: []string{"moving-user"},
+		FPS:   []core.Fingerprint{scheme.Fingerprint(profileFor(1))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	export[4+8+4+4] ^= 0x01 // magic, mutSeq, user count, id length: the id's first byte
+	loser := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(export)
+	}))
+	defer loser.Close()
+
+	resp := postJSON(t, tsB.URL+"/migrate/import", migrateImportRequest{Epoch: 2, From: "shard-0", FromURL: loser.URL})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("import of a corrupt export: status %d, want 502", resp.StatusCode)
+	}
+	if got := getStats(t, tsB).Users; got != 0 {
+		t.Fatalf("a corrupt export applied %d users", got)
+	}
+}

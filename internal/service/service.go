@@ -845,6 +845,11 @@ func (s *Server) readBoundedFingerprint(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *Server) putFingerprint(w http.ResponseWriter, r *http.Request, id string) {
+	if len(id) > core.MaxUserIDBytes {
+		// Refused before the WAL append: no snapshot could carry the user.
+		httpError(w, http.StatusBadRequest, "user id is %d bytes, max %d", len(id), core.MaxUserIDBytes)
+		return
+	}
 	fp, ok := s.readBoundedFingerprint(w, r)
 	if !ok {
 		return
