@@ -104,12 +104,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeState -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=30s ./internal/durable
 	$(GO) test -fuzz=FuzzMergeTopK -fuzztime=30s ./internal/router
+	$(GO) test -run=FuzzTopKSet -fuzz=FuzzTopKSet -fuzztime=30s ./internal/knn
 
 # 10 seconds per fuzz target — enough for the seeded corpora (the 16-word
 # kernels against the Go reference, codec round trips, the WAL, epoch and
 # state decoders with their forged-count seeds, packed against per-pair
-# Jaccard, the ratings and edge-list parsers) to shake out regressions on every `make check` without stalling
-# the loop.
+# Jaccard, the ratings and edge-list parsers, the bounded top-k set
+# against sort-then-truncate) to shake out regressions on every `make
+# check` without stalling the loop. The knn target runs alone (-run): the
+# package's other tests would otherwise rerun, coverage-instrumented,
+# before every burst.
 fuzzshort:
 	$(GO) test -fuzz=FuzzAndCountKernels -fuzztime=10s ./internal/bitset
 	$(GO) test -fuzz=FuzzReadFingerprint$$ -fuzztime=10s ./internal/core
@@ -121,6 +125,7 @@ fuzzshort:
 	$(GO) test -fuzz=FuzzDecodeState -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzGraphDeltaReplay -fuzztime=10s ./internal/durable
 	$(GO) test -fuzz=FuzzMergeTopK -fuzztime=10s ./internal/router
+	$(GO) test -run=FuzzTopKSet -fuzz=FuzzTopKSet -fuzztime=10s ./internal/knn
 
 clean:
 	$(GO) clean ./...

@@ -376,8 +376,8 @@ func runNode(ctx context.Context, p nodeParams, logger *log.Logger, ready func(a
 		if rec.Epoch != nil {
 			epoch = rec.Epoch.Seq
 		}
-		logger.Printf("%srecovered %d users from %s (epoch %d, %d WAL records replayed, %d bytes dropped, %d files quarantined)",
-			logPrefix, len(rec.State.Users), p.dataDir, epoch, rec.RecordsReplayed, rec.BytesDropped, len(rec.Quarantined))
+		logger.Printf("%srecovered %d users from %s (epoch %d, %d WAL records replayed, %d puts with an over-long user id skipped, %d bytes dropped, %d files quarantined)",
+			logPrefix, len(rec.State.Users), p.dataDir, epoch, rec.RecordsReplayed, rec.SkippedPuts, rec.BytesDropped, len(rec.Quarantined))
 		if p.name != "" {
 			persistRing(srv, filepath.Join(p.dataDir, ringFile), p.name, logger)
 		}

@@ -131,13 +131,21 @@ func TestAppendRecordRefusesLongID(t *testing.T) {
 		t.Fatalf("a %d-byte id was refused: %v", core.MaxUserIDBytes, err)
 	}
 
-	// The bytes an unbounded encoder wrote: the payload of a put, sealed
-	// in a record frame by hand.
-	payload := appendStr(le.AppendUint64([]byte{byte(KindPut)}, 5), long)
-	payload, _ = core.AppendFingerprint(payload, fp)
-	frame := le.AppendUint32(le.AppendUint32(nil, uint32(len(payload))), crc32.Checksum(payload, crcTable))
-	recs, _, err := ScanWAL(append(frame, payload...))
+	recs, _, err := ScanWAL(legacyPutFrame(t, 5, long, fp))
 	if err != nil || len(recs) != 1 || recs[0].ID != long {
 		t.Fatalf("legacy long-id record: %d records, err %v", len(recs), err)
 	}
+}
+
+// legacyPutFrame is the bytes an unbounded encoder wrote for a put: the
+// payload sealed in a record frame by hand, so id may be over
+// core.MaxUserIDBytes.
+func legacyPutFrame(t testing.TB, seq uint64, id string, fp core.Fingerprint) []byte {
+	t.Helper()
+	payload, err := core.AppendFingerprint(appendStr(le.AppendUint64([]byte{byte(KindPut)}, seq), id), fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := le.AppendUint32(le.AppendUint32(nil, uint32(len(payload))), crc32.Checksum(payload, crcTable))
+	return append(frame, payload...)
 }

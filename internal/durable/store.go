@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"goldfinger/internal/core"
 	"goldfinger/internal/knn"
 	"goldfinger/internal/obs"
 )
@@ -60,7 +61,8 @@ type Recovery struct {
 	// it.
 	State State
 	// Epoch is the recovered graph epoch, nil if none was persisted (or the
-	// epoch snapshot was corrupt — state recovery does not depend on it).
+	// epoch snapshot was corrupt, or SkippedPuts is nonzero — state
+	// recovery does not depend on it).
 	// Graph-delta WAL records newer than the persisted epoch have been
 	// applied to it, so the graph is warm: current up to Epoch.MutSeq.
 	Epoch *EpochData
@@ -68,6 +70,12 @@ type Recovery struct {
 	RecordsReplayed int
 	// DeltasApplied counts graph-delta records applied onto the epoch.
 	DeltasApplied int
+	// SkippedPuts counts WAL puts not replayed because their user id is
+	// over core.MaxUserIDBytes — written before AppendRecord bounded ids.
+	// No snapshot can carry such a user, so replaying one would fail every
+	// later compaction. When any is skipped the epoch is not loaded: its
+	// rows and deltas index the user table that held them.
+	SkippedPuts int
 	// BytesDropped counts torn-tail WAL bytes truncated during recovery.
 	BytesDropped int64
 	// Quarantined lists files renamed to *.corrupt instead of being loaded.
@@ -283,6 +291,12 @@ func Open(opts Options) (*Store, Recovery, error) {
 					rec.State.Deleted[i] = true
 				}
 			default: // KindPut (incl. legacy zero kind)
+				if len(r.ID) > core.MaxUserIDBytes {
+					// The user is dropped; its sequence number stays used.
+					rec.SkippedPuts++
+					rec.State.MutSeq = r.MutSeq
+					continue
+				}
 				if i, ok := index[r.ID]; ok {
 					rec.State.FPS[i] = r.FP
 					if i < len(rec.State.Deleted) {
@@ -334,7 +348,10 @@ func Open(opts Options) (*Store, Recovery, error) {
 	// The epoch snapshot is independent of state recovery: if it is corrupt
 	// the service simply starts without a built graph.
 	epochPath := filepath.Join(opts.Dir, epochName)
-	if data, rerr := fsys.ReadFile(epochPath); rerr == nil {
+	if rec.SkippedPuts > 0 {
+		logf("durable: skipped %d puts whose user id is over %d bytes; not loading the epoch snapshot, whose graph indexes the user table that held them",
+			rec.SkippedPuts, core.MaxUserIDBytes)
+	} else if data, rerr := fsys.ReadFile(epochPath); rerr == nil {
 		ep, derr := decodeEpoch(data)
 		if derr != nil {
 			quarantineFile(epochPath, derr)
@@ -379,8 +396,8 @@ func Open(opts Options) (*Store, Recovery, error) {
 		}
 	}
 
-	logf("durable: recovered %d users at mutSeq %d (snapshot gen %d, %d WAL records replayed, %d graph deltas applied, %d bytes dropped, %d files quarantined)",
-		len(rec.State.Users), rec.State.MutSeq, baseGen, rec.RecordsReplayed, rec.DeltasApplied, rec.BytesDropped, len(rec.Quarantined))
+	logf("durable: recovered %d users at mutSeq %d (snapshot gen %d, %d WAL records replayed, %d graph deltas applied, %d puts skipped, %d bytes dropped, %d files quarantined)",
+		len(rec.State.Users), rec.State.MutSeq, baseGen, rec.RecordsReplayed, rec.DeltasApplied, rec.SkippedPuts, rec.BytesDropped, len(rec.Quarantined))
 	return s, rec, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,66 @@ func TestRecoveryOverwriteWins(t *testing.T) {
 	}
 	if rec.State.Users[0] != "alice" || rec.State.FPS[0].Cardinality() != fpNew.Cardinality() {
 		t.Fatalf("alice not overwritten: users=%v card=%d", rec.State.Users, rec.State.FPS[0].Cardinality())
+	}
+}
+
+// TestLegacyLongIDDoesNotBlockCompaction: a WAL put whose id is over
+// core.MaxUserIDBytes — written before AppendRecord bounded ids — is
+// skipped by recovery and counted, the epoch snapshot is not loaded, and
+// compaction works again: three Compact calls leave one WAL segment and a
+// state snapshot, where replaying the put made every Compact rotate and
+// then fail, piling up sealed segments.
+func TestLegacyLongIDDoesNotBlockCompaction(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openTest(t, dir, OSFS{})
+	if err := st.SaveEpoch(testEpoch(t, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	recs := testRecords(t, 2)
+	recs[1].MutSeq = 3
+	wal := encodeAll(t, recs[:1])
+	wal = append(wal, legacyPutFrame(t, 2, strings.Repeat("x", core.MaxUserIDBytes+1), recs[0].FP)...)
+	wal = append(wal, encodeAll(t, recs[1:])...)
+	if err := os.WriteFile(filepath.Join(dir, walName(0)), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, rec := openTest(t, dir, OSFS{})
+	if rec.SkippedPuts != 1 || rec.RecordsReplayed != 2 || rec.State.MutSeq != 3 {
+		t.Fatalf("skipped %d, replayed %d, mutSeq %d; want 1, 2, 3", rec.SkippedPuts, rec.RecordsReplayed, rec.State.MutSeq)
+	}
+	if want := []string{recs[0].ID, recs[1].ID}; !slices.Equal(rec.State.Users, want) {
+		t.Fatalf("recovered users %v, want %v", rec.State.Users, want)
+	}
+	if rec.Epoch != nil {
+		t.Fatal("epoch loaded beside a skipped put")
+	}
+	for i := 0; i < 3; i++ {
+		if err := st.Compact(func() (State, *EpochData) { return rec.State, nil }); err != nil {
+			t.Fatalf("Compact %d: %v", i, err)
+		}
+	}
+	var wals, states []string
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range names {
+		if _, ok := parseGen(e.Name(), "wal-", ".log"); ok {
+			wals = append(wals, e.Name())
+		}
+		if _, ok := parseGen(e.Name(), "state-", ".snap"); ok {
+			states = append(states, e.Name())
+		}
+	}
+	if len(wals) != 1 || len(states) != 1 {
+		t.Fatalf("after three compactions: WAL segments %v, state snapshots %v; want one of each", wals, states)
+	}
+	st.Close()
+	_, rec = openTest(t, dir, OSFS{})
+	if rec.SkippedPuts != 0 || len(rec.State.Users) != 2 || rec.State.MutSeq != 3 {
+		t.Fatalf("after compaction: skipped %d, users %v, mutSeq %d", rec.SkippedPuts, rec.State.Users, rec.State.MutSeq)
 	}
 }
 

@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +28,11 @@ const (
 // each row is computed in column tiles, through BatchProvider.SimilarityRange
 // when the provider supports it (one blocked kernel call per tile) and
 // per-pair Similarity otherwise. Every worker accumulates candidates into
-// its own flat neighborhood array and its own comparison/update counters —
-// there are no per-pair atomics and no per-neighborhood mutexes anywhere on
-// the hot path; counters fold into the shared totals once per block and the
-// per-worker neighborhoods merge once at the end.
+// its own n-row topkSet and its own comparison/update counters — there are
+// no per-pair atomics and no per-neighborhood mutexes anywhere on the hot
+// path; counters fold into the shared totals once per block and the
+// per-worker sets merge once at the end, through mergeViews (each pair is
+// scanned by one worker, so no id repeats across the sets).
 //
 // Selection uses the strict (sim desc, id asc) total order of TopK, which
 // makes the result graph fully deterministic and independent of the worker
@@ -70,19 +70,14 @@ func BruteForce(p Provider, k int, opts Options) (*Graph, Stats) {
 	scanHist := m.phase("scan")
 	scanStart := time.Now()
 
-	locals := make([]*bruteLocal, workers)
+	locals := make([]*topkSet, workers)
 	var comparisons, updates atomic.Int64
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		locals[w] = &bruteLocal{
-			nbrs:     make([]Neighbor, n*kCap),
-			cnt:      make([]int32, n),
-			worstPos: make([]int32, n),
-			kCap:     kCap,
-		}
+		locals[w] = newTopkSet(n, kCap)
 		wg.Add(1)
-		go func(l *bruteLocal) {
+		go func(l *topkSet) {
 			defer wg.Done()
 			buf := make([]float64, bruteColTile)
 			lc := obs.Local{C: m.comparisons}
@@ -136,115 +131,9 @@ func BruteForce(p Provider, k int, opts Options) (*Graph, Stats) {
 
 	mergeHist := m.phase("merge")
 	mergeStart := time.Now()
-	mergeLocals(g, locals, kCap, workers)
+	mergeViews(g, locals, kCap, workers)
 	mergeHist.ObserveSince(mergeStart)
 	return g, Stats{Comparisons: comparisons.Load(), Updates: updates.Load()}
-}
-
-// bruteLocal is one worker's private candidate state: a flat n×kCap
-// neighbor array plus fill counts and the cached position of each node's
-// worst entry. No locking — only its owner touches it during the scan, and
-// the merge runs after the barrier.
-type bruteLocal struct {
-	nbrs     []Neighbor
-	cnt      []int32
-	worstPos []int32 // index of the minimum entry per node; valid once cnt[node] == kCap
-	kCap     int
-}
-
-// insert adds (id, sim) to node's bounded candidate set under the strict
-// (sim desc, id asc) total order. The lower-triangle scan computes each
-// unordered pair exactly once, so no duplicate check is needed. It reports
-// whether the set changed.
-//
-// The cached worst position makes the reject path — the overwhelmingly
-// common case once the set is full — a single load and compare; the O(kCap)
-// rescan runs only on the rare accepted insert, so the amortized cost per
-// candidate is O(1) instead of the per-candidate worst-scan the mutex-based
-// neighborhood pays.
-func (l *bruteLocal) insert(node int, id int32, sim float64) bool {
-	base := node * l.kCap
-	c := int(l.cnt[node])
-	if c < l.kCap {
-		l.nbrs[base+c] = Neighbor{ID: id, Sim: sim}
-		l.cnt[node] = int32(c + 1)
-		if c+1 == l.kCap {
-			l.worstPos[node] = int32(findWorst(l.nbrs[base : base+l.kCap]))
-		}
-		return true
-	}
-	wp := base + int(l.worstPos[node])
-	cand := Neighbor{ID: id, Sim: sim}
-	if !ranksBelow(l.nbrs[wp], cand) {
-		return false
-	}
-	l.nbrs[wp] = cand
-	l.worstPos[node] = int32(findWorst(l.nbrs[base : base+l.kCap]))
-	return true
-}
-
-// findWorst returns the index of the minimum entry under the strict
-// (sim desc, id asc) total order.
-func findWorst(nb []Neighbor) int {
-	worst := 0
-	for i := 1; i < len(nb); i++ {
-		if ranksBelow(nb[i], nb[worst]) {
-			worst = i
-		}
-	}
-	return worst
-}
-
-// mergeLocals selects, for every node, the top-kCap candidates across all
-// workers' local sets (ids are disjoint between workers, since each pair is
-// computed once) and writes the sorted neighbor lists into g. The merge is
-// parallelized over node ranges; each node's selection is independent.
-func mergeLocals(g *Graph, locals []*bruteLocal, kCap, workers int) {
-	n := len(g.Neighbors)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sel := make([]Neighbor, 0, kCap)
-			for x := lo; x < hi; x++ {
-				sel = sel[:0]
-				worst := 0
-				for _, l := range locals {
-					base := x * kCap
-					for _, cand := range l.nbrs[base : base+int(l.cnt[x])] {
-						if len(sel) < kCap {
-							sel = append(sel, cand)
-							if len(sel) == kCap {
-								worst = findWorst(sel)
-							}
-							continue
-						}
-						if ranksBelow(sel[worst], cand) {
-							sel[worst] = cand
-							worst = findWorst(sel)
-						}
-					}
-				}
-				out := make([]Neighbor, len(sel))
-				copy(out, sel)
-				sort.Slice(out, func(i, j int) bool {
-					if out[i].Sim != out[j].Sim {
-						return out[i].Sim > out[j].Sim
-					}
-					return out[i].ID < out[j].ID
-				})
-				g.Neighbors[x] = out
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // LegacyBruteForce is the pre-packed-corpus implementation: a per-row work

@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,14 +121,9 @@ func ClusterConquerWith(p Provider, k int, opts Options, cfg ClusterConfig) (*Gr
 	// of the view's array — no locks, no atomics, and the per-row insert
 	// order is fixed by the cluster's single scanner, which is what makes
 	// the output worker-count independent.
-	locals := make([]*bruteLocal, len(asn.Views))
+	locals := make([]*topkSet, len(asn.Views))
 	for vi := range locals {
-		locals[vi] = &bruteLocal{
-			nbrs:     make([]Neighbor, n*kCap),
-			cnt:      make([]int32, n),
-			worstPos: make([]int32, n),
-			kCap:     kCap,
-		}
+		locals[vi] = newTopkSet(n, kCap)
 	}
 
 	scanHist := m.phase("scan")
@@ -154,12 +148,7 @@ func ClusterConquerWith(p Provider, k int, opts Options, cfg ClusterConfig) (*Gr
 		go func() {
 			defer wg.Done()
 			buf := make([]float64, bruteColTile)
-			dense := &bruteLocal{
-				nbrs:     make([]Neighbor, maxClusterLen*kCap),
-				cnt:      make([]int32, maxClusterLen),
-				worstPos: make([]int32, maxClusterLen),
-				kCap:     kCap,
-			}
+			dense := newTopkSet(maxClusterLen, kCap)
 			lc := obs.Local{C: m.comparisons}
 			defer lc.Flush()
 			for {
@@ -220,7 +209,7 @@ func ClusterConquerWith(p Provider, k int, opts Options, cfg ClusterConfig) (*Gr
 // user ids and copied into the view's array once at the end. The copy is
 // safe lock-free: within a view every user belongs to exactly one cluster,
 // so no other work item touches these rows.
-func scanCluster(p Provider, members []int32, l, dense *bruteLocal, buf []float64) (comps, ups int64) {
+func scanCluster(p Provider, members []int32, l, dense *topkSet, buf []float64) (comps, ups int64) {
 	sub := subsetOf(p, members)
 	batch, _ := sub.(BatchProvider)
 	mn := len(members)
@@ -248,26 +237,26 @@ func scanCluster(p Provider, members []int32, l, dense *bruteLocal, buf []float6
 		}
 		comps += int64(mn - i - 1)
 	}
-	kCap := dense.kCap
 	for i := 0; i < mn; i++ {
-		c := int(dense.cnt[i])
-		src := dense.nbrs[i*kCap : i*kCap+c]
-		dst := l.nbrs[int(members[i])*kCap:]
+		src := dense.row(i)
+		dst := l.nbrs[int(members[i])*l.k:]
 		for x, e := range src {
 			dst[x] = Neighbor{ID: members[e.ID], Sim: e.Sim}
 		}
-		l.cnt[members[i]] = int32(c)
+		l.cnt[members[i]] = int32(len(src))
 	}
 	return comps, ups
 }
 
-// mergeViews folds the t per-view candidate arrays into final sorted
-// neighbor lists. Unlike mergeLocals, the same pair can appear in several
-// views, so candidates already selected are skipped by id; a candidate
-// whose duplicate was previously evicted re-ranks identically (same sim,
-// same id under the strict total order) and is rejected by the worst-entry
-// comparison, so the output carries no duplicates either way.
-func mergeViews(g *Graph, locals []*bruteLocal, kCap, workers int) {
+// mergeViews folds n-row candidate sets — Cluster-and-Conquer's t views,
+// or BruteForce's per-worker sets — into final sorted neighbor lists. The
+// same pair can appear in several views, so an admitted candidate already
+// selected is skipped by id (the O(k) id scan runs only past admits); a
+// candidate whose duplicate was previously evicted re-ranks identically
+// (same sim, same id under the strict total order) and is not admitted,
+// so the output carries no duplicates either way. BruteForce's sets never
+// share an id, so there the skip never fires.
+func mergeViews(g *Graph, locals []*topkSet, kCap, workers int) {
 	n := len(g.Neighbors)
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
@@ -280,33 +269,17 @@ func mergeViews(g *Graph, locals []*bruteLocal, kCap, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			sel := make([]Neighbor, 0, kCap)
+			sel := newTopkSet(1, kCap)
 			for x := lo; x < hi; x++ {
-				sel = sel[:0]
-				worst := 0
+				sel.reset(0)
 				for _, l := range locals {
-					base := x * kCap
-					for _, cand := range l.nbrs[base : base+int(l.cnt[x])] {
-						if hasNeighborID(sel, cand.ID) {
-							continue
-						}
-						if len(sel) < kCap {
-							sel = append(sel, cand)
-							if len(sel) == kCap {
-								worst = findWorst(sel)
-							}
-							continue
-						}
-						if ranksBelow(sel[worst], cand) {
-							sel[worst] = cand
-							worst = findWorst(sel)
+					for _, cand := range l.row(x) {
+						if sel.admits(0, cand.ID, cand.Sim) && !hasNeighborID(sel.row(0), cand.ID) {
+							sel.insert(0, cand.ID, cand.Sim)
 						}
 					}
 				}
-				out := make([]Neighbor, len(sel))
-				copy(out, sel)
-				slices.SortFunc(out, compareRank)
-				g.Neighbors[x] = out
+				g.Neighbors[x] = sel.sorted(0)
 			}
 		}(lo, hi)
 	}
@@ -420,7 +393,7 @@ func refineSweep(p Provider, g *Graph, order []int32, kCap, workers int, opts Op
 			// so the epoch cannot wrap.
 			stamp := make([]int32, n)
 			epoch := int32(0)
-			sel := make([]Neighbor, 0, kCap)
+			sel := newTopkSet(1, kCap)
 			cands := make([]int32, 0, (kCap+maxRev)*(kCap+1))
 			sims := make([]float64, 0, cap(cands))
 			for {
@@ -469,38 +442,25 @@ func refineSweep(p Provider, g *Graph, order []int32, kCap, workers int, opts Op
 							}
 						}
 					}
+					if cap(sims) < len(cands) {
+						sims = make([]float64, 0, len(cands)*2)
+					}
+					sims = sims[:len(cands)]
 					if hasGather {
-						if cap(sims) < len(cands) {
-							sims = make([]float64, 0, len(cands)*2)
-						}
-						sims = sims[:len(cands)]
 						gather.SimilarityGather(u, cands, sims)
+					} else {
+						for x, id := range cands {
+							sims[x] = p.Similarity(u, int(id))
+						}
 					}
-					sel = sel[:0]
-					worst := 0
+					comps += int64(len(cands))
+					sel.reset(0)
 					for x, id := range cands {
-						var cand Neighbor
-						if hasGather {
-							cand = Neighbor{ID: id, Sim: sims[x]}
-						} else {
-							cand = Neighbor{ID: id, Sim: p.Similarity(u, int(id))}
-						}
-						comps++
-						if len(sel) < kCap {
-							sel = append(sel, cand)
-							if len(sel) == kCap {
-								worst = findWorst(sel)
-							}
-							continue
-						}
-						if ranksBelow(sel[worst], cand) {
-							sel[worst] = cand
-							worst = findWorst(sel)
+						if sel.admits(0, id, sims[x]) {
+							sel.insert(0, id, sims[x])
 						}
 					}
-					out := make([]Neighbor, len(sel))
-					copy(out, sel)
-					slices.SortFunc(out, compareRank)
+					out := sel.sorted(0)
 					rowUps := int64(0)
 					for i := range out {
 						if !hasNeighborID(base[u], out[i].ID) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -137,9 +136,14 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// neighborhood is a bounded top-k set of neighbors with O(k) insertion and
-// duplicate detection (k is 30 in the paper; linear scans beat heaps at this
-// size and keep the structure allocation-free after construction).
+// neighborhood is the paper builders' shared bounded top-k set (Hyrec,
+// NNDescent, LSH, KIFF, bisection, Dynamic and LegacyBruteForce): a mutex
+// per user, O(k) insertion with duplicate detection, and ties broken by
+// similarity only — an equal-similarity candidate never displaces a kept
+// one, so at a tie the kept set depends on arrival order. It is a
+// different structure from topkSet, the lock-free strict-order set under
+// TopK, BruteForce and Cluster-and-Conquer. (k is 30 in the paper; linear
+// scans beat heaps at this size and keep it allocation-free.)
 type neighborhood struct {
 	mu      sync.Mutex
 	entries []Neighbor // unordered
@@ -208,12 +212,7 @@ func finalize(k int, nhs []*neighborhood) *Graph {
 	g := &Graph{K: k, Neighbors: make([][]Neighbor, len(nhs))}
 	for u, nh := range nhs {
 		nbrs := nh.snapshot()
-		sort.Slice(nbrs, func(i, j int) bool {
-			if nbrs[i].Sim != nbrs[j].Sim {
-				return nbrs[i].Sim > nbrs[j].Sim
-			}
-			return nbrs[i].ID < nbrs[j].ID
-		})
+		slices.SortFunc(nbrs, compareRank)
 		g.Neighbors[u] = nbrs
 	}
 	return g

@@ -120,6 +120,8 @@ type Stats struct {
 	// Comparisons is the number of similarity computations.
 	Comparisons int64
 	// Updates is the number of successful neighborhood improvements.
+	// For BruteForce only Comparisons is independent of the schedule:
+	// its Updates depends on which worker claimed which row block.
 	Updates int64
 }
 

@@ -197,17 +197,6 @@ func (st *searchState) score(oracle SearchOracle, batch batchOracle, floor float
 	stats.Scored += len(st.ids)
 }
 
-// ranksAbove is the strict (sim desc, id asc) total order, the complement
-// of ranksBelow: a ranks above b when it would sort strictly earlier in a
-// TopK result. Heaps ordered by a total order make the kept set — and with
-// it the whole search — deterministic at every tie.
-func ranksAbove(a, b Neighbor) bool {
-	if a.Sim != b.Sim {
-		return a.Sim > b.Sim
-	}
-	return a.ID < b.ID
-}
-
 // heapUp/heapDown sift a heap whose root ranks below every entry (worst:
 // the beam) or above (the candidates, Navigable's long lists); entries
 // equal under the order may repeat. The order is compared in place:

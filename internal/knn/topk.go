@@ -3,21 +3,21 @@ package knn
 import (
 	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// ranksBelow is the strict (sim desc, id asc) total order of TopK: a ranks
-// below b when its similarity is lower, or equal with a higher id. Unlike
-// neighborhood.insert — whose tie handling is free to be arbitrary because
-// the graph builders only need *some* top-k set — a total order makes the
-// selected set unique, so TopK is deterministic at the k-th-place boundary.
-func ranksBelow(a, b Neighbor) bool {
+// ranksAbove is the strict (sim desc, id asc) total order of every top-k
+// selection in this package: a ranks above b when it would sort strictly
+// earlier in a TopK result. A total order makes the selected set unique,
+// so selections, heaps and the whole search are deterministic at every
+// tie.
+func ranksAbove(a, b Neighbor) bool {
 	if a.Sim != b.Sim {
-		return a.Sim < b.Sim
+		return a.Sim > b.Sim
 	}
-	return a.ID > b.ID
+	return a.ID < b.ID
 }
 
 // compareRank is the same order as a slices.SortFunc comparison: best first.
@@ -28,10 +28,96 @@ func compareRank(a, b Neighbor) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
+// topkSet is n bounded top-k sets under ranksAbove — the one selection
+// under the exact scan, both builders' pair scans, the per-view merge and
+// the refinement sweep. Row i is a flat slot of k entries with a fill
+// count and the cached position of its worst entry. No locking: each row
+// has one writer at a time, by construction of every caller.
+type topkSet struct {
+	nbrs     []Neighbor
+	cnt      []int32
+	worstPos []int32 // index of the row's minimum entry; valid once cnt == k
+	k        int
+}
+
+func newTopkSet(n, k int) *topkSet {
+	return &topkSet{
+		nbrs:     make([]Neighbor, n*k),
+		cnt:      make([]int32, n),
+		worstPos: make([]int32, n),
+		k:        k,
+	}
+}
+
+// insert offers (id, sim) to row i and reports whether the row changed.
+// There is no duplicate check: callers offer each id to a row at most
+// once, or (mergeViews) skip the ids already kept.
+//
+// The cached worst position makes the reject — the overwhelmingly common
+// case once the row is full — one load and compare (admits); the O(k)
+// rescan runs only on an accepted candidate. insert is one call with no
+// nested call under it: a helper below it exceeds Go's inlining budget
+// and costs the pair scans a second call per pair.
+func (s *topkSet) insert(i int, id int32, sim float64) bool {
+	if !s.admits(i, id, sim) {
+		return false
+	}
+	base := i * s.k
+	c := int(s.cnt[i])
+	if c < s.k {
+		s.nbrs[base+c] = Neighbor{ID: id, Sim: sim}
+		s.cnt[i] = int32(c + 1)
+		if c+1 == s.k {
+			s.worstPos[i] = int32(findWorst(s.nbrs[base : base+s.k]))
+		}
+		return true
+	}
+	s.nbrs[base+int(s.worstPos[i])] = Neighbor{ID: id, Sim: sim}
+	s.worstPos[i] = int32(findWorst(s.nbrs[base : base+s.k]))
+	return true
+}
+
+// admits reports whether insert would take (id, sim) into row i: the row
+// is not full, or the candidate ranks above its worst entry. It inlines,
+// so a loop over one row's candidates (the exact scan, the refinement
+// sweep, the merge) tests it first and pays insert's call only on an
+// accept.
+func (s *topkSet) admits(i int, id int32, sim float64) bool {
+	return int(s.cnt[i]) < s.k || ranksAbove(Neighbor{ID: id, Sim: sim}, s.nbrs[i*s.k+int(s.worstPos[i])])
+}
+
+// findWorst returns the index of the minimum entry under ranksAbove.
+func findWorst(nb []Neighbor) int {
+	worst := 0
+	for i := 1; i < len(nb); i++ {
+		if ranksAbove(nb[worst], nb[i]) {
+			worst = i
+		}
+	}
+	return worst
+}
+
+// row returns row i's kept entries, unordered, aliasing the set.
+func (s *topkSet) row(i int) []Neighbor {
+	return s.nbrs[i*s.k : i*s.k+int(s.cnt[i])]
+}
+
+// sorted returns a fresh, exactly sized copy of row i, best first.
+func (s *topkSet) sorted(i int) []Neighbor {
+	out := make([]Neighbor, s.cnt[i])
+	copy(out, s.row(i))
+	slices.SortFunc(out, compareRank)
+	return out
+}
+
+// reset empties row i.
+func (s *topkSet) reset(i int) { s.cnt[i] = 0 }
+
 // TopK returns the (at most) k candidates among 0..n-1 with the highest
-// similarity under sim, using the same bounded linear-scan selection as
-// the graph builders' neighborhoods (O(k) per candidate, allocation-free
-// per shard). Candidates are scanned by `workers` goroutines (0 means
+// similarity under sim, through the same bounded top-k set as the
+// BruteForce and Cluster-and-Conquer pair scans (topkSet: one compare per
+// rejected candidate, an O(k) rescan per accepted one, allocation-free
+// per tile). Candidates are scanned by `workers` goroutines (0 means
 // GOMAXPROCS) over contiguous index shards, so sim must be safe for
 // concurrent use.
 //
@@ -121,11 +207,7 @@ func topKRange(ctx context.Context, n, k, workers int, sim func(lo, hi int, out 
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			nh := make([]Neighbor, 0, k)
-			// worst caches the index of nh's minimum under the total order
-			// (valid once nh is full), so the common reject is one compare
-			// and the O(k) rescan only runs on an accepted candidate.
-			worst := 0
+			sel := newTopkSet(1, k)
 			buf := make([]float64, topkColTile)
 			for tlo := lo; tlo < hi; tlo += topkColTile {
 				if ctx != nil {
@@ -140,22 +222,13 @@ func topKRange(ctx context.Context, n, k, workers int, sim func(lo, hi int, out 
 				thi := min(tlo+topkColTile, hi)
 				tile := buf[:thi-tlo]
 				sim(tlo, thi, tile)
-				for i := tlo; i < thi; i++ {
-					cand := Neighbor{ID: int32(i), Sim: tile[i-tlo]}
-					if len(nh) < k {
-						nh = append(nh, cand)
-						if len(nh) == k {
-							worst = findWorst(nh)
-						}
-						continue
-					}
-					if ranksBelow(nh[worst], cand) {
-						nh[worst] = cand
-						worst = findWorst(nh)
+				for i, s := range tile {
+					if id := int32(tlo + i); sel.admits(0, id, s) {
+						sel.insert(0, id, s)
 					}
 				}
 			}
-			locals[w] = nh
+			locals[w] = sel.row(0)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -169,12 +242,7 @@ func topKRange(ctx context.Context, n, k, workers int, sim func(lo, hi int, out 
 	for _, l := range locals {
 		merged = append(merged, l...)
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Sim != merged[j].Sim {
-			return merged[i].Sim > merged[j].Sim
-		}
-		return merged[i].ID < merged[j].ID
-	})
+	slices.SortFunc(merged, compareRank)
 	if len(merged) > k {
 		merged = merged[:k]
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -222,4 +223,61 @@ func BenchmarkTopK(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzTopKSet checks the one bounded top-k set against sort-then-truncate
+// under compareRank. data[0] picks the row count, data[1] the bound k
+// (often above a row's candidate count); each following byte pair is a
+// candidate — row and id from the first byte, similarity from the second,
+// drawn from four values so ties are common. Ids arrive in no particular
+// order, and an id offered to a row twice is dropped (the set's callers
+// never repeat one). admits must predict every insert, and a reset row
+// refilled in reverse order must select the same set.
+func FuzzTopKSet(f *testing.F) {
+	f.Add([]byte{1, 3, 10, 1, 20, 1, 30, 2, 5, 2, 40, 0})
+	f.Add([]byte{3, 50, 0, 3, 1, 3, 2, 3, 4, 0, 5, 1, 7, 2})
+	f.Add([]byte{2, 1, 9, 1, 8, 1, 7, 1, 6, 1, 5, 1, 4, 1})
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, k := 1+int(data[0]%4), 1+int(data[1]%40)
+		cands := make([][]Neighbor, rows)
+		seen := map[[2]int]bool{}
+		for x := 2; x+1 < len(data); x += 2 {
+			row, id := int(data[x])%rows, int32(data[x]/4)
+			if seen[[2]int{row, int(id)}] {
+				continue
+			}
+			seen[[2]int{row, int(id)}] = true
+			cands[row] = append(cands[row], Neighbor{ID: id, Sim: float64(data[x+1]%4) / 4})
+		}
+		set := newTopkSet(rows, k)
+		for pass := 0; pass < 2; pass++ {
+			for r, cs := range cands {
+				set.reset(r)
+				for x := range cs {
+					c := cs[x]
+					if pass == 1 {
+						c = cs[len(cs)-1-x]
+					}
+					if admits, took := set.admits(r, c.ID, c.Sim), set.insert(r, c.ID, c.Sim); admits != took {
+						t.Fatalf("row %d: admits(%v) = %v, insert = %v", r, c, admits, took)
+					}
+				}
+			}
+			for r, cs := range cands {
+				want := slices.Clone(cs)
+				slices.SortFunc(want, compareRank)
+				want = want[:min(k, len(want))]
+				if got := set.sorted(r); !slices.Equal(got, want) {
+					t.Fatalf("pass %d row %d (k=%d): sorted = %v, want %v", pass, r, k, got, want)
+				}
+				if got := len(set.row(r)); got != len(want) {
+					t.Fatalf("pass %d row %d: row holds %d entries, want %d", pass, r, got, len(want))
+				}
+			}
+		}
+	})
 }
