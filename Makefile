@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt test racecheck perfsmoke perf shardcheck clustercheck cover bench experiments fuzz fuzzshort clean
+.PHONY: all build check fmt test racecheck perfsmoke perf shardcheck clustercheck cover bench lines experiments fuzz fuzzshort clean
 
 all: build test
 
@@ -88,6 +88,15 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
+
+# Non-test Go lines of the serving stack, per package and in total: the
+# figure ROADMAP item 13's deletion target counts. It measures and gates
+# nothing, so it is not part of `check`.
+lines:
+	@total=0; for d in internal/service internal/router internal/durable cmd/knnserver; do \
+		n=$$(cat $$(ls $$d/*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-18s %6d\n' total $$total
 
 # Regenerate every table and figure of the paper at the default scale.
 experiments:

@@ -36,8 +36,12 @@ package admit
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,6 +220,60 @@ func (c *Controller) RetryAfter(cl Class) time.Duration {
 		return time.Second
 	}
 	return c.classes[cl].retryAfter()
+}
+
+// HeaderRequestTimeout is the request header a client sets to lower its
+// deadline below the default: a Go duration ("750ms", "2s") or a bare
+// positive integer meaning seconds. It can never raise the deadline. The
+// router honours it for its own budget and sends each shard the derived
+// per-shard deadline under the same header.
+const HeaderRequestTimeout = "X-Request-Timeout"
+
+// ClientTimeout lowers def to the request's X-Request-Timeout when the
+// client sets one; def 0 means no default, so the header alone decides.
+// A malformed value is an error naming the header — the caller's 400.
+func ClientTimeout(r *http.Request, def time.Duration) (time.Duration, error) {
+	hdr := r.Header.Get(HeaderRequestTimeout)
+	if hdr == "" {
+		return def, nil
+	}
+	d, err := parseClientTimeout(hdr)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: %w", HeaderRequestTimeout, hdr, err)
+	}
+	if def == 0 || d < def {
+		return d, nil
+	}
+	return def, nil
+}
+
+// parseClientTimeout parses an X-Request-Timeout value.
+func parseClientTimeout(v string) (time.Duration, error) {
+	if secs, err := strconv.Atoi(v); err == nil {
+		if secs <= 0 {
+			return 0, errors.New("must be positive")
+		}
+		return time.Duration(secs) * time.Second, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, errors.New("want a Go duration or integer seconds")
+	}
+	if d <= 0 {
+		return 0, errors.New("must be positive")
+	}
+	return d, nil
+}
+
+// SetRetryAfter writes the Retry-After header as RFC 9110 requires: a
+// non-negative integer number of seconds. Durations round up and floor at
+// 1 — "Retry-After: 0" is an invitation to hammer the server.
+func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
+	secs := int64((d + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
 // Overloaded reports whether any class is currently shedding queue-bound

@@ -33,8 +33,6 @@ import (
 	"net/http"
 	"sort"
 	"time"
-
-	"goldfinger/internal/gossip"
 )
 
 // Cluster / migration metric names.
@@ -48,15 +46,23 @@ const (
 	metricRingEpoch    = "router.ring.epoch"
 )
 
-// ringMsg is the JSON body pushed to every shard's POST /ring. It must
-// stay wire-compatible with the service package's RingInfo (the service
-// cannot be imported from here — it imports us).
-type ringMsg struct {
+// Ring modes.
+const (
+	RingStable     = "stable"
+	RingTransition = "transition"
+)
+
+// RingInfo is one placement-ring epoch: the JSON body the router pushes to
+// every shard's POST /ring, and what a shard process persists to reinstall
+// at start. Names is the ordered shard list the consistent-hash ring is
+// built from; PrevNames, required in transition mode only, is the previous
+// list, so a shard widens acceptance to both rings while a migration
+// streams.
+type RingInfo struct {
 	Epoch     uint64   `json:"epoch"`
-	Mode      string   `json:"mode"` // "stable" or "transition"
+	Mode      string   `json:"mode"` // RingStable or RingTransition
 	Names     []string `json:"names"`
 	PrevNames []string `json:"prev_names,omitempty"`
-	Replicas  int      `json:"replicas,omitempty"`
 }
 
 // migState is the in-flight migration attached to a transition ringState.
@@ -79,10 +85,10 @@ type ringState struct {
 	mig    *migState // non-nil while a migration streams
 }
 
-func (st *ringState) msg() ringMsg {
-	m := ringMsg{Epoch: st.epoch, Mode: "stable", Names: st.names}
+func (st *ringState) info() RingInfo {
+	m := RingInfo{Epoch: st.epoch, Mode: RingStable, Names: st.names}
 	if st.mig != nil {
-		m.Mode = "transition"
+		m.Mode = RingTransition
 		m.PrevNames = st.mig.prevNames
 	}
 	return m
@@ -121,10 +127,12 @@ func (st *ringState) route(id string, mutation bool) (primary, fallback *shard, 
 	return st.ownerShard(id), nil, false
 }
 
-// queryShards is the scatter set: the ring's shards plus, during a
-// transition, the old ring's shards not on the new ring (a leaving shard
-// still holds its users until retire).
-func (st *ringState) queryShards() []*shard {
+// reach is every shard that holds users under this epoch: the ring's
+// shards plus, during a transition, the old ring's shards not on the new
+// ring (a leaving shard still holds its users until retire). It is the
+// /query scatter set and what the prober, the ring push, /stats, /healthz
+// and build fan-out cover.
+func (st *ringState) reach() []*shard {
 	if st.mig == nil {
 		return st.shards
 	}
@@ -137,15 +145,6 @@ func (st *ringState) queryShards() []*shard {
 	sort.Slice(out, func(a, b int) bool { return out[a].spec.Name < out[b].spec.Name })
 	return out
 }
-
-// allShards is queryShards plus nothing today — a distinct name because
-// the prober and ring distribution must reach every shard the router
-// knows, which during a transition is exactly the scatter set.
-func (st *ringState) allShards() []*shard { return st.queryShards() }
-
-// Membership returns the router's member table (the membership authority
-// for the cluster).
-func (r *Router) Membership() *gossip.Membership { return r.mem }
 
 // kickReconcile nudges the reconcile loop without blocking.
 func (r *Router) kickReconcile() {
@@ -178,7 +177,7 @@ func (r *Router) getShard(spec ShardSpec) *shard {
 }
 
 // reconcileLoop is the single driver of ring changes: every kick, it
-// compares the membership table against the installed ring and runs the
+// compares the member table against the installed ring and runs the
 // migration state machine when they differ. One goroutine, so changes
 // serialize and a queued join during a migration waits its turn.
 func (r *Router) reconcileLoop(ctx context.Context) {
@@ -204,20 +203,22 @@ func (r *Router) reconcileLoop(ctx context.Context) {
 	}
 }
 
-// reconcile makes the installed ring match the membership table.
-func (r *Router) reconcile(ctx context.Context) error {
-	peers, _ := r.mem.Snapshot()
-	specs := make([]ShardSpec, 0, len(peers))
-	for _, p := range peers {
-		if p.State != gossip.PeerLeft {
-			specs = append(specs, ShardSpec{Name: p.Name, URL: p.URL})
-		}
+// memberSpecs returns the member table sorted by name.
+func (r *Router) memberSpecs() []ShardSpec {
+	r.shardsMu.Lock()
+	defer r.shardsMu.Unlock()
+	specs := make([]ShardSpec, 0, len(r.members))
+	for name, url := range r.members {
+		specs = append(specs, ShardSpec{Name: name, URL: url})
 	}
 	sort.Slice(specs, func(a, b int) bool { return specs[a].Name < specs[b].Name })
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
+	return specs
+}
+
+// reconcile makes the installed ring match the member table.
+func (r *Router) reconcile(ctx context.Context) error {
+	specs := r.memberSpecs()
+	names := specNames(specs)
 
 	cur := r.ring.Load()
 	sameNames := equalStrings(cur.names, names)
@@ -252,12 +253,12 @@ func (r *Router) changeRing(ctx context.Context, cur *ringState, specs []ShardSp
 	for i, spec := range specs {
 		shards[i] = r.getShard(spec)
 	}
-	place := NewPlacement(names, r.cfg.Replicas)
+	place := NewPlacement(names, 0)
 	next := &ringState{epoch: epoch, names: names, place: place, shards: shards, byName: shardMap(shards)}
 
 	// An empty old or new ring moves nothing: there is no one to stream
 	// from (first join) or to (last leave). Install stable directly.
-	delta := ComputeDelta(cur.names, names, r.cfg.Replicas)
+	delta := ComputeDelta(cur.names, names)
 	if len(cur.names) == 0 || len(names) == 0 || len(delta.Moves) == 0 {
 		r.installRing(next)
 		r.pushRingAll(ctx, next)
@@ -418,7 +419,7 @@ func (r *Router) lookupShard(name string) (*shard, bool) {
 // backfilled by the prober, which re-pushes until the shard acks the
 // current generation — and by /cluster/join, which pushes synchronously.
 func (r *Router) pushRingAll(ctx context.Context, st *ringState) {
-	shards := st.allShards()
+	shards := st.reach()
 	done := make(chan struct{}, len(shards))
 	for _, sh := range shards {
 		go func(sh *shard) {
@@ -436,7 +437,7 @@ func (r *Router) pushRingTo(ctx context.Context, sh *shard, st *ringState) {
 	if sh.ringSynced.Load() >= st.gen {
 		return
 	}
-	body, _ := json.Marshal(st.msg())
+	body, _ := json.Marshal(st.info())
 	pctx, cancel := context.WithTimeout(ctx, 3*time.Second)
 	defer cancel()
 	status, respBody, err := r.postJSON(pctx, sh.spec.URL+"/ring", body)
@@ -477,11 +478,6 @@ func (r *Router) postJSON(ctx context.Context, url string, body []byte) (int, []
 
 // --- cluster HTTP surface ---
 
-type joinRequest struct {
-	Name string `json:"name"`
-	URL  string `json:"url"`
-}
-
 // handleClusterJoin registers (or re-registers) a shard process. A brand
 // new name triggers a migration; a restart of a known process is a no-op
 // beyond re-pushing the current ring so the shard is immediately
@@ -492,7 +488,7 @@ func (r *Router) handleClusterJoin(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST {name, url} to join")
 		return
 	}
-	var jr joinRequest
+	var jr ShardSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<16)).Decode(&jr); err != nil {
 		httpError(w, http.StatusBadRequest, "bad join body: %v", err)
 		return
@@ -504,19 +500,25 @@ func (r *Router) handleClusterJoin(w http.ResponseWriter, req *http.Request) {
 	changed := r.Join(req.Context(), jr.Name, jr.URL)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"epoch":   r.ring.Load().epoch,
-		"members": r.mem.Members(),
+		"members": specNames(r.memberSpecs()),
 		"changed": changed,
 	})
 }
 
 // Join registers (or re-registers) a shard process programmatically — the
 // same operation as POST /cluster/join. Returns whether membership
-// changed: a change queues a ring transition on the reconcile loop; no
-// change means a restart of a known process, which gets the current ring
-// re-pushed synchronously so it knows its slice before taking traffic
-// (shards do not necessarily persist the ring across a crash).
+// changed — the name is new, its URL moved (a restart on a new port), or
+// it had left: a change queues a ring transition on the reconcile loop.
+// Anything else is a restart of a known process or a heartbeat, which
+// gets the current ring re-pushed synchronously so it knows its slice
+// before taking traffic (shards do not necessarily persist the ring
+// across a crash).
 func (r *Router) Join(ctx context.Context, name, url string) bool {
-	changed := r.mem.Join(name, url)
+	r.shardsMu.Lock()
+	old, member := r.members[name]
+	changed := !member || old != url
+	r.members[name] = url
+	r.shardsMu.Unlock()
 	r.logf("router: shard %s joined from %s (membership changed=%v)", name, url, changed)
 	if changed {
 		// Refresh the by-name handle immediately rather than waiting for the
@@ -551,38 +553,46 @@ func (r *Router) handleClusterLeave(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad leave body: %v", err)
 		return
 	}
-	if !r.mem.Leave(lr.Name) {
+	r.shardsMu.Lock()
+	_, member := r.members[lr.Name]
+	delete(r.members, lr.Name)
+	r.shardsMu.Unlock()
+	if !member {
 		httpError(w, http.StatusNotFound, "%q is not a member", lr.Name)
 		return
 	}
 	r.logf("router: shard %s leaving; migration queued", lr.Name)
 	r.kickReconcile()
-	writeJSON(w, http.StatusAccepted, map[string]any{"members": r.mem.Members()})
+	writeJSON(w, http.StatusAccepted, map[string]any{"members": specNames(r.memberSpecs())})
 }
 
-// handleCluster reports the membership table and ring state.
+// handleCluster reports the member table and ring state.
 func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	peers, version := r.mem.Snapshot()
 	st := r.ring.Load()
-	mode := "stable"
 	moves := []Move(nil)
 	if st.mig != nil {
-		mode = "transition"
 		moves = st.mig.delta.Moves
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"membership_version": version,
-		"ring_epoch":         st.epoch,
-		"ring_mode":          mode,
-		"ring_names":         st.names,
-		"migrating":          moves,
-		"peers":              peers,
+		"ring_epoch": st.epoch,
+		"ring_mode":  st.info().Mode,
+		"ring_names": st.names,
+		"migrating":  moves,
+		"peers":      r.memberSpecs(),
 	})
+}
+
+func specNames(specs []ShardSpec) []string {
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
+	}
+	return names
 }
 
 func shardMap(shards []*shard) map[string]*shard {

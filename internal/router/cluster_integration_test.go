@@ -8,6 +8,7 @@ package router_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -435,4 +436,133 @@ func waitFor(t *testing.T, within time.Duration, what string, fn func() error) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+}
+
+// TestShardOwnershipMatchesRouting: every shard builds its ring from the
+// body the router pushes, so for every id the shard that accepts it is the
+// shard the router sends it to — in stable mode, and in transition mode,
+// where a moving id is fenced for writes, read from its old owner and
+// already owned by its gainer. A ring the router built differently from
+// the one it sends (another virtual-node count, say) would bounce every
+// mutation with 421.
+func TestShardOwnershipMatchesRouting(t *testing.T) {
+	const ids = 10000
+	names := []string{"shard-0", "shard-1", "shard-2"}
+	handlers := map[string]http.Handler{}
+	urls := map[string]string{}
+	importing, release := make(chan struct{}, 1), make(chan struct{})
+	for _, name := range names {
+		srv, err := service.NewServer(clusterBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetShardName(name)
+		h := srv.Handler()
+		handlers[name] = h
+		front := h
+		if name == "shard-2" {
+			// Hold the joiner's import so the ring stays in transition.
+			front = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/migrate/import" {
+					select {
+					case importing <- struct{}{}:
+					default:
+					}
+					<-release
+				}
+				h.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(front)
+		t.Cleanup(ts.Close)
+		urls[name] = ts.URL
+	}
+	rt, front := newClusterRouter(t, router.Config{
+		Shards:        []router.ShardSpec{{Name: "shard-0", URL: urls["shard-0"]}, {Name: "shard-1", URL: urls["shard-1"]}},
+		ProbeInterval: 10 * time.Millisecond,
+	})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	// ringOn waits until every named shard has installed the ring at epoch
+	// and mode — the router's own push, not one this test makes.
+	ringOn := func(epoch uint64, mode string, on ...string) {
+		waitFor(t, 10*time.Second, fmt.Sprintf("ring %d %s on %v", epoch, mode, on), func() error {
+			for _, name := range on {
+				rec := httptest.NewRecorder()
+				handlers[name].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ring", nil))
+				var info service.RingInfo
+				if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || info.Epoch != epoch || info.Mode != mode {
+					return fmt.Errorf("%s holds %+v (%d)", name, info, rec.Code)
+				}
+			}
+			return nil
+		})
+	}
+	// check asks every shard about every id: a shard that does not own it
+	// answers 421 naming the owner under its ring.
+	check := func(mode string, on ...string) {
+		t.Helper()
+		fenced := 0
+		for i := 0; i < ids; i++ {
+			id := fmt.Sprintf("user-%05d", i)
+			accepts := map[string]bool{}
+			owner := ""
+			for _, name := range on {
+				rec := httptest.NewRecorder()
+				handlers[name].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/users/"+id+"/neighbors", nil))
+				if rec.Code != http.StatusMisdirectedRequest {
+					accepts[name] = true
+					continue
+				}
+				named := rec.Header().Get(service.HeaderOwnerShard)
+				if owner != "" && named != owner {
+					t.Fatalf("%s: shards disagree on the owner of %s: %s and %s", mode, id, owner, named)
+				}
+				owner = named
+			}
+			primary, _, moving := rt.RouteNames(id, true)
+			if moving {
+				// Fenced for writes: the old owner serves reads, the gainer
+				// owns the id under the new ring, and both accept it.
+				fenced++
+				old, gainer, _ := rt.RouteNames(id, false)
+				primary = gainer
+				if !accepts[old] || !accepts[gainer] {
+					t.Fatalf("%s: moving id %s: old owner %s accepts=%v, gainer %s accepts=%v",
+						mode, id, old, accepts[old], gainer, accepts[gainer])
+				}
+			} else if len(accepts) != 1 || !accepts[primary] {
+				t.Fatalf("%s: router routes %s to %s, shards accepting it: %v", mode, id, primary, accepts)
+			}
+			if owner != primary {
+				t.Fatalf("%s: router routes %s to %s, shards name %s its owner", mode, id, primary, owner)
+			}
+		}
+		if (mode == service.RingTransition) != (fenced > 0) {
+			t.Fatalf("%s: %d of %d ids fenced", mode, fenced, ids)
+		}
+	}
+
+	ringOn(1, service.RingStable, "shard-0", "shard-1")
+	check(service.RingStable, "shard-0", "shard-1")
+
+	rt.Join(context.Background(), "shard-2", urls["shard-2"])
+	select {
+	case <-importing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the joiner was never asked to import")
+	}
+	ringOn(2, service.RingTransition, names...)
+	check(service.RingTransition, names...)
+
+	close(release)
+	waitForRing(t, front.URL, 2, service.RingStable, 15*time.Second)
+	ringOn(2, service.RingStable, names...)
+	check(service.RingStable, names...)
 }

@@ -76,12 +76,11 @@ type Delta struct {
 	oldP, newP *Placement
 }
 
-// ComputeDelta diffs the rings built from the two shard-name lists.
-// replicas <= 0 selects the default (and must match what the placements
-// in service use, which always use the default).
-func ComputeDelta(oldNames, newNames []string, replicas int) *Delta {
-	oldP := NewPlacement(oldNames, replicas)
-	newP := NewPlacement(newNames, replicas)
+// ComputeDelta diffs the rings built from the two shard-name lists, at
+// the default virtual-node count every router and shard builds.
+func ComputeDelta(oldNames, newNames []string) *Delta {
+	oldP := NewPlacement(oldNames, 0)
+	newP := NewPlacement(newNames, 0)
 	d := &Delta{OldNames: oldNames, NewNames: newNames, oldP: oldP, newP: newP}
 
 	// Collect the union of both rings' point hashes. Ownership is constant

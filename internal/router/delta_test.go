@@ -24,7 +24,7 @@ func TestDeltaGrowMovesBoundedFraction(t *testing.T) {
 			oldNames := shardNames(n)
 			newNames := shardNames(n + 1)
 			newcomer := newNames[n]
-			d := ComputeDelta(oldNames, newNames, 0)
+			d := ComputeDelta(oldNames, newNames)
 
 			oldP := NewPlacement(oldNames, 0)
 			newP := NewPlacement(newNames, 0)
@@ -89,7 +89,7 @@ func TestDeltaShrinkMovesOnlyLeaver(t *testing.T) {
 	const users = 20_000
 	oldNames := shardNames(4)
 	newNames := shardNames(3) // shard-3 leaves
-	d := ComputeDelta(oldNames, newNames, 0)
+	d := ComputeDelta(oldNames, newNames)
 
 	for _, mv := range d.Moves {
 		if mv.From != "shard-3" {
@@ -126,7 +126,7 @@ func incWrap(x uint64) uint64 { return x + 1 }
 // An unchanged shard list yields an empty delta.
 func TestDeltaIdentityIsEmpty(t *testing.T) {
 	names := shardNames(5)
-	d := ComputeDelta(names, names, 0)
+	d := ComputeDelta(names, names)
 	if len(d.Segments) != 0 || len(d.Moves) != 0 {
 		t.Fatalf("identity delta not empty: %d segments, %d moves", len(d.Segments), len(d.Moves))
 	}

@@ -64,7 +64,9 @@ func mix64(x uint64) uint64 {
 
 // NewPlacement builds the ring for the given shard names (order matters
 // only for the shard indices Owner returns). replicas ≤ 0 selects the
-// default.
+// default, which is what the router and every shard build: the ring
+// message carries names only, so a ring at another count would disagree
+// with theirs.
 func NewPlacement(shards []string, replicas int) *Placement {
 	if replicas <= 0 {
 		replicas = defaultReplicas

@@ -16,15 +16,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"goldfinger/internal/gossip"
+	"goldfinger/internal/admit"
 	"goldfinger/internal/obs"
 )
 
 // ShardSpec names one backend shard-core: a stable name (the placement
 // ring hashes it) and the base URL the router dials.
 type ShardSpec struct {
-	Name string
-	URL  string
+	Name string `json:"name"`
+	URL  string `json:"url"`
 }
 
 // Config configures a Router. Zero values select the documented defaults.
@@ -32,9 +32,6 @@ type Config struct {
 	// Shards is the backend set. Placement, scatter width and quorum all
 	// derive from it. Must be non-empty.
 	Shards []ShardSpec
-	// Replicas is the virtual-node count per shard on the placement ring;
-	// 0 selects the default (128).
-	Replicas int
 	// Quorum is the minimum fraction of shards that must contribute to a
 	// /query for a 200: served ≥ ceil(Quorum×total), floored at 1 shard.
 	// Below it the router answers 503 with a Retry-After computed from
@@ -181,12 +178,6 @@ const (
 // result contract — the answer is missing at most the dead shard's share.
 const HeaderPartialResults = "X-Partial-Results"
 
-// HeaderRequestTimeout mirrors the service header: a Go duration or
-// integer seconds, lowering (never raising) the request budget. The
-// router consumes it for its own budget and re-emits the derived
-// per-shard deadline downstream.
-const HeaderRequestTimeout = "X-Request-Timeout"
-
 // shard is one backend's runtime state.
 type shard struct {
 	spec    ShardSpec
@@ -209,10 +200,9 @@ type shard struct {
 
 	// Prober backoff state (satellite: a long-down shard is probed at a
 	// decaying, capped cadence, not hammered at full rate forever).
-	probeMu    sync.Mutex
-	probeWait  time.Duration
-	probeNext  time.Time
-	probeFails int
+	probeMu   sync.Mutex
+	probeWait time.Duration
+	probeNext time.Time
 }
 
 // probeDue reports whether the backoff schedule allows a probe now.
@@ -222,12 +212,10 @@ func (s *shard) probeDue(now time.Time) bool {
 	return s.probeNext.IsZero() || !now.Before(s.probeNext)
 }
 
-// probeFailed doubles the shard's probe backoff up to the cap and returns
-// the consecutive-failure count.
-func (s *shard) probeFailed(base, cap time.Duration) int {
+// probeFailed doubles the shard's probe backoff up to the cap.
+func (s *shard) probeFailed(base, cap time.Duration) {
 	s.probeMu.Lock()
 	defer s.probeMu.Unlock()
-	s.probeFails++
 	if s.probeWait == 0 {
 		s.probeWait = base
 	} else {
@@ -237,14 +225,12 @@ func (s *shard) probeFailed(base, cap time.Duration) int {
 		s.probeWait = cap
 	}
 	s.probeNext = time.Now().Add(s.probeWait)
-	return s.probeFails
 }
 
 // probeSucceeded resets the backoff schedule.
 func (s *shard) probeSucceeded() {
 	s.probeMu.Lock()
 	defer s.probeMu.Unlock()
-	s.probeFails = 0
 	s.probeWait = 0
 	s.probeNext = time.Time{}
 }
@@ -274,13 +260,14 @@ type Router struct {
 	ring    atomic.Pointer[ringState]
 	ringGen atomic.Uint64
 
-	// mem is the cluster membership table; the router is its authority.
-	mem *gossip.Membership
-
-	// byName holds every shard runtime ever resolved, so breaker history
-	// survives ring changes. A replacement process (same name, new URL)
-	// gets a fresh runtime.
+	// members is the cluster's member table, and the router its authority:
+	// the URL of every shard that joined and has not left, by name. byName
+	// holds every shard runtime ever resolved, so breaker history survives
+	// ring changes and a shard that left stays reachable until its slice
+	// has streamed away. A replacement process (same name, new URL) gets a
+	// fresh runtime.
 	shardsMu sync.Mutex
+	members  map[string]string
 	byName   map[string]*shard
 
 	// retired maps a losing shard to the last epoch it was retired at —
@@ -324,19 +311,19 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		client:  &http.Client{Transport: transport},
 		obs:     cfg.Metrics,
-		mem:     gossip.NewMembership(nil),
+		members: map[string]string{},
 		byName:  map[string]*shard{},
 		retired: map[string]uint64{},
 		kick:    make(chan struct{}, 1),
 	}
 	shards := make([]*shard, len(cfg.Shards))
 	for i, spec := range cfg.Shards {
-		r.mem.Join(spec.Name, spec.URL)
+		r.members[spec.Name] = spec.URL
 		shards[i] = r.getShard(spec)
 	}
 	st := &ringState{epoch: 1, names: names, shards: shards, byName: shardMap(shards)}
 	if len(names) > 0 {
-		st.place = NewPlacement(names, cfg.Replicas)
+		st.place = NewPlacement(names, 0)
 	}
 	r.installRing(st)
 
@@ -421,7 +408,7 @@ func (r *Router) probeLoop(ctx context.Context) {
 		}
 		st := r.ring.Load()
 		now := time.Now()
-		for _, sh := range st.allShards() {
+		for _, sh := range st.reach() {
 			// Backfill the ring on shards that missed a push — but only when
 			// the shard is believed healthy or its probe backoff has elapsed,
 			// so a long-dead shard is not hammered on /ring either.
@@ -462,12 +449,7 @@ func (r *Router) probeShard(ctx context.Context, sh *shard, probe bool, iv, capW
 		}
 		sh.noteError(err.Error())
 		sh.breaker.Record(time.Since(start), true, probe)
-		fails := sh.probeFailed(iv, capWait)
-		if fails >= 8 {
-			r.mem.Observe(sh.spec.Name, gossip.PeerDead)
-		} else {
-			r.mem.Observe(sh.spec.Name, gossip.PeerSuspect)
-		}
+		sh.probeFailed(iv, capWait)
 		return
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
@@ -477,7 +459,6 @@ func (r *Router) probeShard(ctx context.Context, sh *shard, probe bool, iv, capW
 	sh.breaker.Record(time.Since(start), !healthy, probe)
 	if healthy {
 		sh.probeSucceeded()
-		r.mem.Observe(sh.spec.Name, gossip.PeerAlive)
 		if probe {
 			r.logf("router: shard %s healthy again, breaker %s", sh.spec.Name, sh.breaker.State())
 		}
@@ -727,15 +708,9 @@ func (r *Router) Handler() http.Handler {
 // lowered by the client's X-Request-Timeout and by any deadline already
 // on the request context.
 func budgetFor(req *http.Request, def time.Duration) (time.Duration, error) {
-	b := def
-	if hdr := req.Header.Get(HeaderRequestTimeout); hdr != "" {
-		d, err := parseClientTimeout(hdr)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %w", HeaderRequestTimeout, hdr, err)
-		}
-		if d < b {
-			b = d
-		}
+	b, err := admit.ClientTimeout(req, def)
+	if err != nil {
+		return 0, err
 	}
 	if dl, ok := req.Context().Deadline(); ok {
 		if rem := time.Until(dl); rem < b {
@@ -746,25 +721,6 @@ func budgetFor(req *http.Request, def time.Duration) (time.Duration, error) {
 		b = time.Millisecond
 	}
 	return b, nil
-}
-
-// parseClientTimeout parses an X-Request-Timeout value: a Go duration or
-// bare positive integer seconds (the service's contract).
-func parseClientTimeout(v string) (time.Duration, error) {
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs <= 0 {
-			return 0, errors.New("must be positive")
-		}
-		return time.Duration(secs) * time.Second, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, errors.New("want a Go duration or integer seconds")
-	}
-	if d <= 0 {
-		return 0, errors.New("must be positive")
-	}
-	return d, nil
 }
 
 // shardDeadline derives the per-shard deadline from the full budget: the
@@ -828,9 +784,9 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// retire. The merge deduplicates by user id, so a user transiently
 	// resident on two shards is counted once. No coverage hole either way.
 	st := r.ring.Load()
-	scatter := st.queryShards()
+	scatter := st.reach()
 	if len(scatter) == 0 {
-		setRetryAfter(w, time.Second)
+		admit.SetRetryAfter(w, time.Second)
 		httpError(w, http.StatusServiceUnavailable, "no shards have joined this router")
 		return
 	}
@@ -857,7 +813,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 					return nil, err
 				}
 				hreq.Header.Set("Content-Type", "application/octet-stream")
-				hreq.Header.Set(HeaderRequestTimeout, fmtShardTimeout(perShard))
+				hreq.Header.Set(admit.HeaderRequestTimeout, fmtShardTimeout(perShard))
 				return hreq, nil
 			})
 			results <- gathered{sh: sh, out: out}
@@ -898,7 +854,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set(HeaderPartialResults, fmt.Sprintf("%d/%d", served, total))
 	if served < r.cfg.quorumCount(total) {
 		r.obs.Counter(metricQueryFailed).Inc()
-		setRetryAfter(w, r.sickRetryAfter())
+		admit.SetRetryAfter(w, r.sickRetryAfter())
 		httpError(w, http.StatusServiceUnavailable,
 			"%d of %d shards answered, quorum is %d; retry later", served, total, r.cfg.quorumCount(total))
 		return
@@ -915,7 +871,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 // coverage can possibly improve — floored at 1s.
 func (r *Router) sickRetryAfter() time.Duration {
 	best := time.Duration(0)
-	for _, sh := range r.ring.Load().allShards() {
+	for _, sh := range r.ring.Load().reach() {
 		if sh.breaker.State() != BreakerClosed {
 			ra := sh.breaker.RetryAfter()
 			if best == 0 || ra < best {
@@ -953,13 +909,13 @@ func (r *Router) handleUsers(w http.ResponseWriter, req *http.Request) {
 	sh, fallback, fenced := st.route(id, !idempotent)
 	if fenced {
 		r.obs.Counter(metricFencedWrites).Inc()
-		setRetryAfter(w, time.Second)
+		admit.SetRetryAfter(w, time.Second)
 		httpError(w, http.StatusServiceUnavailable,
 			"user %q is migrating to a new shard; writes resume after cutover", id)
 		return
 	}
 	if sh == nil {
-		setRetryAfter(w, time.Second)
+		admit.SetRetryAfter(w, time.Second)
 		httpError(w, http.StatusServiceUnavailable, "no shards have joined this router")
 		return
 	}
@@ -1001,7 +957,7 @@ func (r *Router) handleUsers(w http.ResponseWriter, req *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			hreq.Header.Set(HeaderRequestTimeout, fmtShardTimeout(perShard))
+			hreq.Header.Set(admit.HeaderRequestTimeout, fmtShardTimeout(perShard))
 			if ct := req.Header.Get("Content-Type"); ct != "" {
 				hreq.Header.Set("Content-Type", ct)
 			}
@@ -1040,12 +996,12 @@ func (r *Router) writeOutcome(w http.ResponseWriter, sh *shard, out outcome) {
 		w.WriteHeader(out.status)
 		w.Write(out.body)
 	case outcomeOpen:
-		setRetryAfter(w, sh.breaker.RetryAfter())
+		admit.SetRetryAfter(w, sh.breaker.RetryAfter())
 		httpError(w, http.StatusServiceUnavailable,
 			"shard %s unavailable (circuit breaker open); retry later", sh.spec.Name)
 	default: // outcomeFail
 		if out.err != nil && errors.Is(out.err, context.DeadlineExceeded) {
-			setRetryAfter(w, time.Second)
+			admit.SetRetryAfter(w, time.Second)
 			httpError(w, http.StatusGatewayTimeout, "shard %s did not answer in budget", sh.spec.Name)
 			return
 		}
@@ -1085,7 +1041,7 @@ func (r *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 		body   []byte
 		err    error
 	}
-	shards := r.ring.Load().allShards()
+	shards := r.ring.Load().reach()
 	results := make(chan buildRes, len(shards))
 	for _, sh := range shards {
 		go func(sh *shard) {
@@ -1228,7 +1184,7 @@ func (r *Router) shardStatus(sh *shard) ShardStatus {
 // healthyCount counts ring shards whose breaker is closed.
 func (r *Router) healthyCount() int {
 	n := 0
-	for _, sh := range r.ring.Load().allShards() {
+	for _, sh := range r.ring.Load().reach() {
 		if sh.breaker.State() == BreakerClosed {
 			n++
 		}
@@ -1246,14 +1202,14 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	st := r.ring.Load()
-	shards := st.allShards()
+	shards := st.reach()
 	stats := RouterStats{
 		Router:         true,
 		ShardsTotal:    len(shards),
 		ShardsHealthy:  r.healthyCount(),
 		Quorum:         r.cfg.quorumCount(len(shards)),
 		RingEpoch:      st.epoch,
-		RingMode:       "stable",
+		RingMode:       st.info().Mode,
 		Queries:        r.obs.Counter(metricQueries).Value(),
 		QueriesPartial: r.obs.Counter(metricQueryPartial).Value(),
 		QueriesFailed:  r.obs.Counter(metricQueryFailed).Value(),
@@ -1264,9 +1220,6 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		FencedWrites:   r.obs.Counter(metricFencedWrites).Value(),
 		DualReads:      r.obs.Counter(metricDualReads).Value(),
 		Migrations:     r.obs.Counter(metricMigrations).Value(),
-	}
-	if st.mig != nil {
-		stats.RingMode = "transition"
 	}
 	rows := make([]ShardStatus, len(shards))
 	var wg sync.WaitGroup
@@ -1326,18 +1279,18 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 // every sick shard so a human reading the probe sees which shard to fix.
 // Passive by design — probes must stay cheap and must not dial shards.
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
-	shards := r.ring.Load().allShards()
+	shards := r.ring.Load().reach()
 	healthy := r.healthyCount()
 	total := len(shards)
 	quorum := r.cfg.quorumCount(total)
 	if total == 0 {
-		setRetryAfter(w, time.Second)
+		admit.SetRetryAfter(w, time.Second)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "no shards have joined")
 		return
 	}
 	if healthy < quorum {
-		setRetryAfter(w, r.sickRetryAfter())
+		admit.SetRetryAfter(w, r.sickRetryAfter())
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "below quorum: %d/%d shards healthy (need %d)\n", healthy, total, quorum)
 	} else {
@@ -1378,16 +1331,6 @@ func copyHeaders(dst, src http.Header) {
 			dst[name] = vals
 		}
 	}
-}
-
-// setRetryAfter mirrors the service helper: RFC 9110 integer seconds,
-// rounded up, floored at 1.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

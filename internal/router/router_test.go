@@ -24,6 +24,7 @@ type fakeShard struct {
 	delay atomic.Int64 // ns, applied to /query before answering
 	puts  chan string  // user ids of received mutations
 	calls atomic.Int64
+	rings atomic.Int64 // POST /ring pushes received
 }
 
 const (
@@ -78,6 +79,14 @@ func newFakeShard(t *testing.T, hits []Hit) *fakeShard {
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(*fs.hits.Load())
 		}
+	})
+	mux.HandleFunc("/ring", func(w http.ResponseWriter, r *http.Request) {
+		fs.rings.Add(1)
+		fmt.Fprintln(w, "{}")
+	})
+	// A migration step between fake shards moves nothing and succeeds.
+	mux.HandleFunc("/migrate/", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "{}")
 	})
 	mux.HandleFunc("/users/", func(w http.ResponseWriter, r *http.Request) {
 		parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/users/"), "/")

@@ -44,6 +44,7 @@ import (
 	"strconv"
 	"time"
 
+	"goldfinger/internal/admit"
 	"goldfinger/internal/durable"
 	"goldfinger/internal/obs"
 	"goldfinger/internal/router"
@@ -59,10 +60,10 @@ const (
 	HeaderRingEpoch = "X-Ring-Epoch"
 )
 
-// Ring modes.
+// Ring modes, as the router defines them.
 const (
-	RingStable     = "stable"
-	RingTransition = "transition"
+	RingStable     = router.RingStable
+	RingTransition = router.RingTransition
 )
 
 // Migration metric names.
@@ -77,20 +78,9 @@ const (
 	metricMigImportSecs = "migrate.import.seconds"
 )
 
-// RingInfo is one placement-ring epoch as pushed by the router (POST
-// /ring) or configured statically at process start. Names is the full
-// ordered shard list the consistent-hash ring is built from; PrevNames is
-// the previous list, required in transition mode to widen acceptance to
-// both rings while a migration streams.
-type RingInfo struct {
-	Epoch     uint64   `json:"epoch"`
-	Mode      string   `json:"mode"` // RingStable or RingTransition
-	Names     []string `json:"names"`
-	PrevNames []string `json:"prev_names,omitempty"`
-	// Replicas is the virtual-node count per shard; 0 means the ring
-	// default. Must match the router's setting or placements disagree.
-	Replicas int `json:"replicas,omitempty"`
-}
+// RingInfo is the placement ring the router pushes (POST /ring); a
+// shard process also reinstalls the last one it persisted at start.
+type RingInfo = router.RingInfo
 
 // ringView is an installed RingInfo with its placements materialized.
 // Immutable; swapped atomically on install.
@@ -158,10 +148,10 @@ func (s *Server) InstallRing(info RingInfo) error {
 	rv := &ringView{
 		info:  info,
 		self:  s.shardName,
-		place: router.NewPlacement(info.Names, info.Replicas),
+		place: router.NewPlacement(info.Names, 0),
 	}
 	if info.Mode == RingTransition {
-		rv.prev = router.NewPlacement(info.PrevNames, info.Replicas)
+		rv.prev = router.NewPlacement(info.PrevNames, 0)
 	}
 	s.ring.Store(rv)
 	s.obs.Counter(metricRingInstalls).Inc()
@@ -299,7 +289,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	if err := s.journalMigration(durable.MigImportBegin, req.Epoch, req.From, 0); err != nil {
-		setRetryAfter(w, degradedRetryAfter)
+		admit.SetRetryAfter(w, degradedRetryAfter)
 		httpError(w, http.StatusServiceUnavailable, "journaling import begin: %v", err)
 		return
 	}
@@ -327,7 +317,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if _, err := s.applyPut(id, exp.FPS[i]); err != nil {
-			setRetryAfter(w, degradedRetryAfter)
+			admit.SetRetryAfter(w, degradedRetryAfter)
 			httpError(w, http.StatusServiceUnavailable, "applying migrated user %q: %v", id, err)
 			return
 		}
@@ -335,7 +325,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 		pace.tick()
 	}
 	if err := s.journalMigration(durable.MigImportDone, req.Epoch, req.From, uint32(applied)); err != nil {
-		setRetryAfter(w, degradedRetryAfter)
+		admit.SetRetryAfter(w, degradedRetryAfter)
 		httpError(w, http.StatusServiceUnavailable, "journaling import done: %v", err)
 		return
 	}
@@ -390,14 +380,14 @@ func (s *Server) handleMigrateRetire(w http.ResponseWriter, r *http.Request) {
 		// Unknown ids are a no-op: the targets come from the live table, so
 		// that only happens on races with concurrent retires.
 		if _, err := s.applyDelete(id); err != nil {
-			setRetryAfter(w, degradedRetryAfter)
+			admit.SetRetryAfter(w, degradedRetryAfter)
 			httpError(w, http.StatusServiceUnavailable, "retiring user %q: %v", id, err)
 			return
 		}
 		retired++
 	}
 	if err := s.journalMigration(durable.MigRetireDone, req.Epoch, "", uint32(retired)); err != nil {
-		setRetryAfter(w, degradedRetryAfter)
+		admit.SetRetryAfter(w, degradedRetryAfter)
 		httpError(w, http.StatusServiceUnavailable, "journaling retire: %v", err)
 		return
 	}

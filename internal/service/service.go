@@ -473,10 +473,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// HeaderRequestTimeout is the request header a client sets to lower its
-// deadline below the class default: a Go duration ("750ms", "2s") or a
-// bare positive integer meaning seconds. It can never raise the deadline.
-const HeaderRequestTimeout = "X-Request-Timeout"
+// HeaderRequestTimeout is admit.HeaderRequestTimeout, kept here for
+// clients that import only this package.
+const HeaderRequestTimeout = admit.HeaderRequestTimeout
 
 // statusClientClosedRequest is nginx's conventional status for a request
 // aborted because the client went away. The client never sees it; it
@@ -498,16 +497,10 @@ func (s *Server) admittedDeadline(class admit.Class, deadline bool, h http.Handl
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if deadline {
-			d := s.admit.Timeout(class)
-			if hdr := r.Header.Get(HeaderRequestTimeout); hdr != "" {
-				req, err := parseClientTimeout(hdr)
-				if err != nil {
-					httpError(w, http.StatusBadRequest, "bad %s %q: %v", HeaderRequestTimeout, hdr, err)
-					return
-				}
-				if d == 0 || req < d {
-					d = req
-				}
+			d, err := admit.ClientTimeout(r, s.admit.Timeout(class))
+			if err != nil {
+				httpError(w, http.StatusBadRequest, "%v", err)
+				return
 			}
 			if d > 0 {
 				var cancel context.CancelFunc
@@ -517,7 +510,7 @@ func (s *Server) admittedDeadline(class admit.Class, deadline bool, h http.Handl
 		}
 		release, res := s.admit.Admit(ctx, class)
 		if res.Rejected() {
-			setRetryAfter(w, res.RetryAfter)
+			admit.SetRetryAfter(w, res.RetryAfter)
 			switch res.Outcome {
 			case admit.RateLimited:
 				httpError(w, http.StatusTooManyRequests, "rate limit exceeded")
@@ -533,35 +526,6 @@ func (s *Server) admittedDeadline(class admit.Class, deadline bool, h http.Handl
 		defer release()
 		h(w, r.WithContext(ctx))
 	}
-}
-
-// parseClientTimeout parses an X-Request-Timeout value.
-func parseClientTimeout(v string) (time.Duration, error) {
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs <= 0 {
-			return 0, errors.New("must be positive")
-		}
-		return time.Duration(secs) * time.Second, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, errors.New("want a Go duration or integer seconds")
-	}
-	if d <= 0 {
-		return 0, errors.New("must be positive")
-	}
-	return d, nil
-}
-
-// setRetryAfter writes the Retry-After header as RFC 9110 requires: a
-// non-negative integer number of seconds. Durations round up and floor at
-// 1 — "Retry-After: 0" is an invitation to hammer the server.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
 // degradedRetryAfter is the retry advice for writes rejected because the
@@ -895,7 +859,7 @@ func (s *Server) deleteFingerprint(w http.ResponseWriter, r *http.Request, id st
 // mutationRefused answers a mutation the WAL did not accept: nothing was
 // applied, and the data dir stays read-only until restart.
 func mutationRefused(w http.ResponseWriter, what string, err error) {
-	setRetryAfter(w, degradedRetryAfter)
+	admit.SetRetryAfter(w, degradedRetryAfter)
 	if errors.Is(err, durable.ErrDegraded) {
 		httpError(w, http.StatusServiceUnavailable, "data dir unwritable; server is read-only until restart")
 		return
@@ -1015,7 +979,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !s.building.CompareAndSwap(false, true) {
-		setRetryAfter(w, s.buildRetryAfter())
+		admit.SetRetryAfter(w, s.buildRetryAfter())
 		httpError(w, http.StatusConflict, "a build is already running; retry later")
 		return
 	}
@@ -1411,7 +1375,7 @@ func querySeeds(ep *graphEpoch, fp core.Fingerprint, n int) []int32 {
 func (s *Server) queryAborted(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.obs.Counter(metricQueryDeadline).Inc()
-		setRetryAfter(w, s.admit.RetryAfter(admit.Query))
+		admit.SetRetryAfter(w, s.admit.RetryAfter(admit.Query))
 		httpError(w, http.StatusServiceUnavailable,
 			"query aborted at its deadline; retry later (lower load) or with a larger %s", HeaderRequestTimeout)
 		return
